@@ -20,24 +20,6 @@ from repro.errors import DescriptorError
 
 _RESERVED = frozenset({"_schema", "_values", "_proj_cache"})
 
-# Process-wide switch for the projection cache.  The Volcano engine hashes
-# descriptors through :meth:`Descriptor.project` on every memo insert and
-# winner lookup, so projections of unchanged descriptors are memoized;
-# the switch exists so benchmarks can measure the legacy (uncached) path.
-_PROJECTION_CACHE_ENABLED = True
-
-
-def set_projection_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable projection caching; returns the old value."""
-    global _PROJECTION_CACHE_ENABLED
-    previous = _PROJECTION_CACHE_ENABLED
-    _PROJECTION_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def projection_cache_enabled() -> bool:
-    return _PROJECTION_CACHE_ENABLED
-
 
 class Descriptor:
     """A mutable property→value mapping validated against a schema.
@@ -186,10 +168,9 @@ class Descriptor:
         mutated in place — all rule actions go through the write paths
         above.
         """
-        if _PROJECTION_CACHE_ENABLED:
-            cached = self._proj_cache
-            if cached is not None and (cached[0] is names or cached[0] == names):
-                return cached[1]
+        cached = self._proj_cache
+        if cached is not None and (cached[0] is names or cached[0] == names):
+            return cached[1]
         values = self._values
         # Every write path preserves the schema's full key set (defaults()
         # seeds it, __setitem__ validates membership, assign_from and the
@@ -203,8 +184,7 @@ class Descriptor:
             if type(value) is list:
                 out[i] = tuple(value)
         projection = tuple(out)
-        if _PROJECTION_CACHE_ENABLED:
-            object.__setattr__(self, "_proj_cache", (names, projection))
+        object.__setattr__(self, "_proj_cache", (names, projection))
         return projection
 
     def as_dict(self) -> dict[str, Any]:

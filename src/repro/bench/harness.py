@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import statistics
+import subprocess
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -122,14 +123,28 @@ def hand_coded_ruleset(kind: str = "oodb"):
     return build_optimizer_pair(kind).hand_coded
 
 
+def current_git_sha(repo_dir: "str | None" = None) -> str:
+    """The checkout's HEAD sha, or ``"unknown"`` outside a git repo."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=repo_dir,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else "unknown"
+
+
 def bench_environment() -> dict:
-    """Where a benchmark ran: stamped into reports and run-history
-    records (:mod:`repro.obs.history`) so regressions can be told apart
-    from machine changes."""
+    """Where a benchmark ran: stamped into benchmark results (e.g.
+    ``optbench/run.py``'s) so regressions can be told apart from machine
+    changes."""
     import platform
     import sys
-
-    from repro.obs.history import current_git_sha
 
     return {
         "python": sys.version.split()[0],

@@ -35,41 +35,24 @@ DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_NEQ_SELECTIVITY = 0.9
 
-# Process-wide switch for the statistics memo.  Selectivity estimation is
-# called from rule conditions, actions, and cost functions on every rule
-# application, with a small set of distinct (predicate, attribute)
-# arguments per query — memoizing on the owning catalog (whose mutation
-# drops the memo, see Catalog.add) makes these near-free.  The switch
-# exists so ``bench_perf_search.py`` can measure the uncached path.
-_STATS_CACHE_ENABLED = True
-
-
-def set_stats_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable the statistics memo; returns the old value."""
-    global _STATS_CACHE_ENABLED
-    previous = _STATS_CACHE_ENABLED
-    _STATS_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def stats_cache_enabled() -> bool:
-    return _STATS_CACHE_ENABLED
+# Selectivity estimation is called from rule conditions, actions, and
+# cost functions on every rule application, with a small set of distinct
+# (predicate, attribute) arguments per query — so the estimates below are
+# memoized on the owning catalog (whose mutation drops the memo, see
+# Catalog.add), which makes them near-free.
 
 
 def distinct_values(catalog: Catalog, attribute: str) -> int:
     """Estimated number of distinct values of ``attribute``."""
-    if _STATS_CACHE_ENABLED:
-        cache = catalog._stats_cache
-        key = ("distinct", attribute)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        info = catalog.file_of_attribute(attribute)
-        value = max(1, round(info.cardinality * DISTINCT_FRACTION))
-        cache[key] = value
-        return value
+    cache = catalog._stats_cache
+    key = ("distinct", attribute)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     info = catalog.file_of_attribute(attribute)
-    return max(1, round(info.cardinality * DISTINCT_FRACTION))
+    value = max(1, round(info.cardinality * DISTINCT_FRACTION))
+    cache[key] = value
+    return value
 
 
 def comparison_selectivity(catalog: Catalog, atom: Comparison) -> float:
@@ -93,25 +76,20 @@ def comparison_selectivity(catalog: Catalog, atom: Comparison) -> float:
 
 def selection_selectivity(catalog: Catalog, pred: "Predicate | None") -> float:
     """Selectivity of a (conjunctive) predicate, independence assumed."""
-    if _STATS_CACHE_ENABLED:
-        cache = catalog._stats_cache
-        key = ("sel", pred)
-        try:
-            hit = cache.get(key)
-        except TypeError:  # unhashable constant inside the predicate
-            hit = None
-            key = None
-        if hit is not None:
-            return hit
-        sel = 1.0
-        for atom in conjuncts(pred):
-            sel *= comparison_selectivity(catalog, atom)
-        if key is not None:
-            cache[key] = sel
-        return sel
+    cache = catalog._stats_cache
+    key = ("sel", pred)
+    try:
+        hit = cache.get(key)
+    except TypeError:  # unhashable constant inside the predicate
+        hit = None
+        key = None
+    if hit is not None:
+        return hit
     sel = 1.0
     for atom in conjuncts(pred):
         sel *= comparison_selectivity(catalog, atom)
+    if key is not None:
+        cache[key] = sel
     return sel
 
 
@@ -148,20 +126,18 @@ def indexable_conjuncts(
     These are the conjuncts an Index_scan can satisfy; cost models and the
     index-scan applicability tests both use this.
     """
-    if _STATS_CACHE_ENABLED:
-        key = ("idxc", file_name, pred)
-        try:
-            hit = catalog._stats_cache.get(key)
-        except TypeError:
-            hit = None
-            key = None
-        if hit is not None:
-            return hit
-        result = _indexable_conjuncts(catalog, file_name, pred)
-        if key is not None:
-            catalog._stats_cache[key] = result
-        return result
-    return _indexable_conjuncts(catalog, file_name, pred)
+    key = ("idxc", file_name, pred)
+    try:
+        hit = catalog._stats_cache.get(key)
+    except TypeError:
+        hit = None
+        key = None
+    if hit is not None:
+        return hit
+    result = _indexable_conjuncts(catalog, file_name, pred)
+    if key is not None:
+        catalog._stats_cache[key] = result
+    return result
 
 
 def _indexable_conjuncts(

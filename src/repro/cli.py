@@ -1,6 +1,6 @@
 """Command-line interface: ``prairie-opt``.
 
-Six subcommands, mirroring how a downstream user exercises the library:
+Five subcommands, mirroring how a downstream user exercises the library:
 
 * ``info`` — the bundled rule sets and what P2V derives from them;
 * ``validate SPEC`` — parse and validate a Prairie specification file;
@@ -11,11 +11,7 @@ Six subcommands, mirroring how a downstream user exercises the library:
 * ``batch`` — optimize a batch of benchmark queries over parallel
   workers (:mod:`repro.parallel`) and report throughput; ``--trace``
   writes the merged cross-worker timeline (one Chrome ``pid`` lane per
-  worker);
-* ``bench-check`` — the regression sentinel: compare a fresh
-  ``BENCH_search.json`` against the rolling run history
-  (:mod:`repro.obs.history`) and exit non-zero on any gated-leg
-  regression.
+  worker).
 
 Metrics-printing commands accept ``--metrics-format openmetrics`` for
 Prometheus-scrapeable text and ``--metrics-file PATH`` to route the
@@ -205,44 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="chrome",
         help="trace file format: Chrome chrome://tracing (default) or "
         "JSON-lines",
-    )
-
-    bench_check = sub.add_parser(
-        "bench-check",
-        help="compare a benchmark report against the rolling run history "
-        "and exit non-zero on regression",
-    )
-    bench_check.add_argument(
-        "--bench",
-        default="BENCH_search.json",
-        help="benchmark report to check (default: BENCH_search.json)",
-    )
-    bench_check.add_argument(
-        "--history",
-        default="benchmarks/results/history.jsonl",
-        help="JSON-lines run history (default: "
-        "benchmarks/results/history.jsonl)",
-    )
-    bench_check.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="how many recent history records form the rolling baseline "
-        "(default: 5)",
-    )
-    bench_check.add_argument(
-        "--threshold",
-        action="append",
-        default=[],
-        metavar="LEG=PCT",
-        help="override a leg's slowdown threshold in percent, e.g. "
-        "optimized=10 (repeatable)",
-    )
-    bench_check.add_argument(
-        "--append",
-        action="store_true",
-        help="append this run to the history after checking (only when "
-        "the check passes)",
     )
     return parser
 
@@ -490,58 +448,6 @@ def _cmd_batch(args, out) -> int:
     return 0
 
 
-def _cmd_bench_check(args, out) -> int:
-    import json
-
-    from repro.obs.history import (
-        DEFAULT_THRESHOLDS,
-        append_record,
-        check_regression,
-        load_history,
-        record_from_report,
-    )
-
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    for override in args.threshold:
-        leg, sep, pct = override.partition("=")
-        if not sep or not leg:
-            print(
-                f"error: --threshold must be LEG=PCT, got {override!r}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            thresholds[leg] = float(pct) / 100.0
-        except ValueError:
-            print(
-                f"error: --threshold {override!r}: {pct!r} is not a number",
-                file=sys.stderr,
-            )
-            return 2
-    with open(args.bench, encoding="utf-8") as handle:
-        report = json.load(handle)
-    record = record_from_report(report)
-    history = load_history(args.history)
-    result = check_regression(
-        record, history, thresholds=thresholds, window=args.window
-    )
-    out.write(
-        f"bench-check: {args.bench} vs {len(history)} history record(s) "
-        f"(window={result.window}) @ {record.git_sha[:12]}\n"
-    )
-    for verdict in result.verdicts:
-        out.write(f"  {verdict.describe()}\n")
-    if not result.ok:
-        failed = ", ".join(v.leg for v in result.failures)
-        out.write(f"REGRESSION: {failed}\n")
-        return 1
-    out.write("ok: no gated leg regressed\n")
-    if args.append:
-        append_record(args.history, record)
-        out.write(f"appended run record -> {args.history}\n")
-    return 0
-
-
 def main(argv: "Sequence[str] | None" = None, out=None) -> int:
     """Entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
@@ -558,8 +464,6 @@ def main(argv: "Sequence[str] | None" = None, out=None) -> int:
             return _cmd_optimize(args, out)
         if args.command == "batch":
             return _cmd_batch(args, out)
-        if args.command == "bench-check":
-            return _cmd_bench_check(args, out)
     except PrairieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

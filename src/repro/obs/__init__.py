@@ -11,8 +11,6 @@ A zero-overhead-when-off tracing and metrics subsystem (see
   ``SearchStats`` and collected traces.
 * :mod:`repro.obs.export` — JSON-lines and Chrome ``chrome://tracing``
   exporters (merged batch traces render one ``pid`` lane per worker).
-* :mod:`repro.obs.history` — the benchmark run-history store and the
-  ``bench-check`` regression sentinel.
 
 The EXPLAIN ANALYZE view over a collected trace lives with the other
 plan renderers: :func:`repro.volcano.explain.explain_trace`.
@@ -20,15 +18,6 @@ plan renderers: :func:`repro.volcano.explain.explain_trace`.
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.export import read_jsonl, write_chrome_trace, write_jsonl
-from repro.obs.history import (
-    CheckResult,
-    LegVerdict,
-    RunRecord,
-    append_record,
-    check_regression,
-    load_history,
-    record_from_report,
-)
 from repro.obs.tracer import (
     NULL_SPAN,
     NULL_TRACER,
@@ -44,27 +33,20 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "CheckResult",
     "CollectingTracer",
     "Counter",
     "CountingTracer",
     "Gauge",
     "Histogram",
     "JsonLinesTracer",
-    "LegVerdict",
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
-    "RunRecord",
     "TraceEvent",
     "Tracer",
     "WorkerTracer",
-    "append_record",
-    "check_regression",
     "event_dicts",
-    "load_history",
-    "record_from_report",
     "read_jsonl",
     "span",
     "write_chrome_trace",

@@ -5,10 +5,10 @@ records such as ``trans_fired`` or ``winner_filed`` — through a
 :class:`Tracer`.  The default is no tracer at all: every emit site in
 the hot path is guarded by an ``is not None`` check on a pre-resolved
 bound method, so a tracerless optimization executes the exact same
-instructions as before the observability layer existed (the
-``trace_off`` leg of ``benchmarks/bench_perf_search.py`` pins the
-overhead under 2%, and the property tests in ``tests/test_obs.py``
-assert bit-identical plans, costs, and statistics either way).
+instructions as before the observability layer existed (every
+``optbench`` workload measures this untraced path, and the property
+tests in ``tests/test_obs.py`` assert bit-identical plans, costs, and
+statistics either way).
 
 Three concrete tracers cover the common shapes:
 

@@ -19,7 +19,6 @@ still deduplicate to one memo expression.
 from __future__ import annotations
 
 from repro.catalog.schema import StoredFileInfo
-from repro.catalog.statistics import stats_cache_enabled
 
 PAGE_SIZE = 8192          # bytes per page
 CPU_TUPLE_COST = 0.01     # cost of touching one tuple in memory
@@ -33,8 +32,7 @@ SIGNIFICANT_DIGITS = 6
 # ``round_estimate`` goes through string formatting, which is the single
 # most expensive arithmetic primitive on the search hot path; estimates
 # repeat heavily (the same subplan sizes recur across derivations), so a
-# bounded memo pays off.  Gated by the statistics-cache switch like the
-# other pure-function memos.
+# bounded memo pays off.
 _ROUND_MEMO: dict = {}
 _ROUND_MEMO_LIMIT = 1 << 16
 
@@ -43,15 +41,13 @@ def round_estimate(value: float) -> float:
     """Round an estimate to a canonical representation (see module doc)."""
     if value == 0:
         return 0.0
-    if stats_cache_enabled():
-        hit = _ROUND_MEMO.get(value)
-        if hit is not None:
-            return hit
-        rounded = float(f"{float(value):.{SIGNIFICANT_DIGITS}g}")
-        if len(_ROUND_MEMO) < _ROUND_MEMO_LIMIT:
-            _ROUND_MEMO[value] = rounded
-        return rounded
-    return float(f"{float(value):.{SIGNIFICANT_DIGITS}g}")
+    hit = _ROUND_MEMO.get(value)
+    if hit is not None:
+        return hit
+    rounded = float(f"{float(value):.{SIGNIFICANT_DIGITS}g}")
+    if len(_ROUND_MEMO) < _ROUND_MEMO_LIMIT:
+        _ROUND_MEMO[value] = rounded
+    return rounded
 
 
 def pages(num_records: float, tuple_size: float) -> float:

@@ -20,7 +20,6 @@ from repro.catalog.statistics import (
     indexable_conjuncts,
     join_selectivity,
     selection_selectivity,
-    stats_cache_enabled,
 )
 from repro.optimizers import costmodel
 from repro.prairie.helpers import HelperRegistry, default_helpers
@@ -28,16 +27,13 @@ from repro.prairie.helpers import HelperRegistry, default_helpers
 # Memo tables for the pure predicate helpers below.  Rule actions call
 # these on every application with a handful of distinct predicates per
 # query, and predicates are immutable/hashable by design, so memoization
-# is safe; it shares the statistics-cache switch so the perf harness can
-# measure the uncached path.  Bounded defensively — a pathological
-# workload simply stops memoizing instead of growing without limit.
+# is safe.  Bounded defensively — a pathological workload simply stops
+# memoizing instead of growing without limit.
 _PURE_MEMO: dict = {}
 _PURE_MEMO_LIMIT = 1 << 16
 
 
 def _pure_memo_get(key):
-    if not stats_cache_enabled():
-        return None
     try:
         return _PURE_MEMO.get(key)
     except TypeError:
@@ -45,7 +41,7 @@ def _pure_memo_get(key):
 
 
 def _pure_memo_put(key, value):
-    if stats_cache_enabled() and len(_PURE_MEMO) < _PURE_MEMO_LIMIT:
+    if len(_PURE_MEMO) < _PURE_MEMO_LIMIT:
         try:
             _PURE_MEMO[key] = value
         except TypeError:
@@ -228,63 +224,45 @@ def _reference_target(ctx: Any, attr: str) -> "str | None":
     ``StoredFileInfo.references`` builds a fresh mapping per call, and
     MAT-rule conditions probe the same few attributes constantly.
     """
-    if stats_cache_enabled():
-        cache = ctx.catalog._stats_cache
-        key = ("ref", attr)
-        hit = cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        cache[key] = target = _reference_target_uncached(ctx, attr)
-        return target
-    return _reference_target_uncached(ctx, attr)
-
-
-def _reference_target_uncached(ctx: Any, attr: str) -> "str | None":
+    cache = ctx.catalog._stats_cache
+    key = ("ref", attr)
+    hit = cache.get(key, _MISS)
+    if hit is not _MISS:
+        return hit
     try:
         owner = ctx.catalog.file_of_attribute(attr)
     except Exception:  # noqa: BLE001 - unknown attribute → not a reference
-        return None
-    return owner.references.get(attr)
+        target = None
+    else:
+        target = owner.references.get(attr)
+    cache[key] = target
+    return target
 
 
 def mat_attrs(ctx: Any, attr: str):
     """Attributes gained by materializing reference attribute ``attr``."""
-    if stats_cache_enabled():
-        cache = ctx.catalog._stats_cache
-        key = ("mat_attrs", attr)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        cache[key] = result = _mat_attrs_uncached(ctx, attr)
-        return result
-    return _mat_attrs_uncached(ctx, attr)
-
-
-def _mat_attrs_uncached(ctx: Any, attr: str):
+    cache = ctx.catalog._stats_cache
+    key = ("mat_attrs", attr)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     target = _reference_target(ctx, attr)
-    if target is None:
-        return ()
-    return tuple(ctx.catalog[target].attributes)
+    result = () if target is None else tuple(ctx.catalog[target].attributes)
+    cache[key] = result
+    return result
 
 
 def mat_size(ctx: Any, attr: str) -> float:
     """Tuple-size increase from materializing reference attribute ``attr``."""
-    if stats_cache_enabled():
-        cache = ctx.catalog._stats_cache
-        key = ("mat_size", attr)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        cache[key] = result = _mat_size_uncached(ctx, attr)
-        return result
-    return _mat_size_uncached(ctx, attr)
-
-
-def _mat_size_uncached(ctx: Any, attr: str) -> float:
+    cache = ctx.catalog._stats_cache
+    key = ("mat_size", attr)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     target = _reference_target(ctx, attr)
-    if target is None:
-        return 0.0
-    return float(ctx.catalog[target].tuple_size)
+    result = 0.0 if target is None else float(ctx.catalog[target].tuple_size)
+    cache[key] = result
+    return result
 
 
 def is_reference_attr(ctx: Any, attr: Any) -> bool:

@@ -117,9 +117,7 @@ class _Emitter:
     dict into a function-local variable at first use (rule actions touch
     the same few descriptors many times), and compiles whole-descriptor
     assignment to a raw value copy instead of default-construction plus
-    overwrite.  The generated behaviour is identical; only the legacy
-    (seed-equivalent) form is used when the engine's rule-index fast path
-    is off, so benchmarks can measure the difference.
+    overwrite.  The generated behaviour is identical to the plain shape.
     """
 
     def __init__(self, helpers: HelperRegistry, optimize: bool = False) -> None:

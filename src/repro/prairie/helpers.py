@@ -19,7 +19,6 @@ import math
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.algebra.properties import DONT_CARE
-from repro.catalog.statistics import stats_cache_enabled
 from repro.errors import ActionError, RuleSetError
 
 
@@ -134,9 +133,8 @@ def _as_tuple(value: Any) -> tuple:
 
 # Memo for ``union`` — the single busiest pure helper (every JOIN/MAT
 # rule action concatenates attribute lists through it, with a handful of
-# distinct operand combinations per query).  Shares the statistics-cache
-# switch so the perf harness can measure the uncached path; bounded so a
-# pathological workload stops memoizing instead of growing forever.
+# distinct operand combinations per query).  Bounded so a pathological
+# workload stops memoizing instead of growing forever.
 _UNION_MEMO: dict = {}
 _UNION_MEMO_LIMIT = 1 << 14
 
@@ -144,15 +142,14 @@ _UNION_MEMO_LIMIT = 1 << 14
 def union(*parts: Any) -> tuple:
     """Order-preserving union of attribute lists (first occurrence wins)."""
     key = None
-    if stats_cache_enabled():
-        try:
-            hit = _UNION_MEMO.get(parts)
-        except TypeError:  # unhashable operand (e.g. a list)
-            hit = None
-        else:
-            if hit is not None:
-                return hit
-            key = parts
+    try:
+        hit = _UNION_MEMO.get(parts)
+    except TypeError:  # unhashable operand (e.g. a list)
+        hit = None
+    else:
+        if hit is not None:
+            return hit
+        key = parts
     out: dict = {}
     for part in parts:
         for item in _as_tuple(part):

@@ -162,13 +162,9 @@ def _translate_t_rule(
     helpers = ruleset.helpers
     run_pre = compile_block(rule.pre_test, helpers, name="pre_test", tracer=tracer)
     run_test = compile_test(rule.test, helpers, name="test", tracer=tracer)
+    # appl_code runs once per rule firing — the hottest generated code —
+    # so it gets the hoisted-locals code shape.
     appl_code = compile_block(
-        rule.post_test, helpers, name="appl_code", tracer=tracer
-    )
-    # A second compilation with the hoisted-locals code shape; the engine
-    # runs it on its rule-index fast path and the legacy form otherwise,
-    # so the two paths stay individually measurable.
-    appl_code_fast = compile_block(
         rule.post_test, helpers, name="appl_code", optimize=True, tracer=tracer
     )
 
@@ -186,7 +182,6 @@ def _translate_t_rule(
         rhs=rule.rhs,
         cond_code=cond_code,
         appl_code=appl_code,
-        appl_code_fast=appl_code_fast,
         doc=rule.doc,
         provenance_id=mint_provenance("prairie", "t_rule", rule.name),
     )

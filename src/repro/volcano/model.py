@@ -81,10 +81,6 @@ class TransRule:
     rhs: PatternNode
     cond_code: CondCode
     appl_code: ApplCode
-    # Optional hoisted-locals recompilation of ``appl_code`` (identical
-    # behaviour, fewer per-statement lookups); the engine runs it on the
-    # rule-index fast path when present.
-    appl_code_fast: "ApplCode | None" = None
     doc: str = ""
     # Rule-provenance id carried on every trace event this rule fires
     # (``prairie:t_rule:<name>`` when P2V-generated; defaults to the

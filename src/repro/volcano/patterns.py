@@ -41,10 +41,10 @@ class MatchBinding:
 ExpandFn = Callable[[int], "list[MExpr]"]
 
 # Optional operator-filtered expansion: (group id, operator name) → the
-# group's members with that root operator, in insertion order.  When the
-# engine supplies it (the rule-index fast path), nested matching skips the
-# scan over members whose root cannot match; the plain ``expand`` callback
-# remains the semantic contract (and the only one tests must provide).
+# group's members with that root operator, in insertion order.  The search
+# engine always supplies it, so nested matching skips the scan over
+# members whose root cannot match; the plain ``expand`` callback remains
+# the semantic contract (and the only one tests must provide).
 ExpandOpFn = Callable[[int, str], "list[MExpr]"]
 
 

@@ -36,6 +36,7 @@ from typing import Any, Iterable, Optional, Union
 
 from repro.algebra.descriptors import Descriptor
 from repro.algebra.expressions import Expression, StoredFileRef
+from repro.algebra.interning import DescriptorInterner
 from repro.algebra.patterns import PatternElem, PatternNode, PatternVar
 from repro.algebra.properties import DONT_CARE
 from repro.catalog.schema import Catalog
@@ -108,19 +109,6 @@ class SearchOptions:
       nested-loops cost smaller than its inputs' sum — under either, the
       bound could prune the true optimum.  Off by default; the engine is
       exact without it.
-    * ``use_rule_index`` — drive exploration through the rule set's
-      LHS-root operator index with per-m-expr fired bitmasks (the fast
-      path, on by default).  Disabling restores the legacy hot path —
-      every trans_rule attempted against every m-expr, fired bookkeeping
-      in a tuple-keyed set — purely so ``bench_perf_search.py`` can
-      measure the difference.  The two paths find identical plans.
-    * ``intern_descriptors`` — hash-cons m-expr descriptors through a
-      per-engine :class:`~repro.algebra.interning.DescriptorInterner`
-      (on by default): m-exprs with identical descriptor values share
-      one canonical object, shrinking the memo.  Pure memory/speed work;
-      plans and costs are bit-identical either way (the engine copies
-      descriptors before every write).  ``SearchStats`` reports the
-      sharing rate (``descriptors_shared`` / ``descriptors_unique``).
 
     Plans remain valid and executable under any heuristic; they just may
     no longer be the global optimum.  The ablation benchmark
@@ -131,8 +119,6 @@ class SearchOptions:
     max_groups: "int | None" = None
     max_mexprs: "int | None" = None
     monotone_costs: bool = False
-    use_rule_index: bool = True
-    intern_descriptors: bool = True
 
     def allows(self, rule_name: str) -> bool:
         return rule_name not in self.disabled_rules
@@ -188,6 +174,7 @@ class SearchStats:
             "trans_rules_applicable": len(self.trans_applicable),
             "impl_rules_applicable": len(self.impl_applicable),
             "trans_fired": self.trans_fired,
+            "trans_considered": self.trans_considered,
             "impl_considered": self.impl_considered,
             "impl_succeeded": self.impl_succeeded,
             "enforcer_applied": self.enforcer_applied,
@@ -299,19 +286,14 @@ class VolcanoOptimizer:
         self.context = OptimizerContext(catalog=catalog, ruleset=ruleset)
         # Identity of a default-valued descriptor: most RHS descriptors
         # are never touched by the rule's actions, so their memo identity
-        # is this schema-wide constant (see _build_rhs's fast path).
+        # is this schema-wide constant (see _build_rhs).
         self._default_arg_projection = Descriptor(ruleset.schema).project(
             ruleset.argument_properties
         )
         # Hash-consing table for m-expr descriptors, shared across this
         # engine's optimize() calls so repeated queries re-use the same
         # canonical objects (repro.algebra.interning).
-        if self.options.intern_descriptors:
-            from repro.algebra.interning import DescriptorInterner
-
-            self._descriptor_interner = DescriptorInterner(ruleset.schema)
-        else:
-            self._descriptor_interner = None
+        self._descriptor_interner = DescriptorInterner(ruleset.schema)
 
     # -- public API ------------------------------------------------------------
 
@@ -385,15 +367,11 @@ class VolcanoOptimizer:
                 return OptimizationResult(
                     copy_plan(entry.plan), entry.cost, stats, entry.memo
                 )
+        interner = self._descriptor_interner
         memo = Memo(
-            self.ruleset.argument_properties,
-            descriptor_interner=self._descriptor_interner,
+            self.ruleset.argument_properties, descriptor_interner=interner
         )
-        values_shared_before = (
-            self._descriptor_interner.values_shared
-            if self._descriptor_interner is not None
-            else 0
-        )
+        values_shared_before = interner.values_shared
         stats = SearchStats()
         if cache is not None:
             stats.plan_cache_misses = 1
@@ -404,11 +382,9 @@ class VolcanoOptimizer:
         stats.mexprs = memo.mexpr_count
         stats.descriptors_shared = memo.descriptors_shared
         stats.descriptors_unique = memo.descriptors_unique
-        interner = self._descriptor_interner
-        if interner is not None:
-            stats.descriptor_values_shared = (
-                interner.values_shared - values_shared_before
-            )
+        stats.descriptor_values_shared = (
+            interner.values_shared - values_shared_before
+        )
         stats.memo_descriptor_objects = memo.retained_descriptor_objects()
         stats.elapsed_seconds = time.perf_counter() - started
         if winner is None:
@@ -482,12 +458,8 @@ class VolcanoOptimizer:
             # return the current snapshot; the outer call finishes the job.
             return group.mexprs
         state.exploring.add(gid)
-        options = self.options
         try:
-            if options.use_rule_index:
-                self._explore_indexed(state, group, gid, options)
-            else:
-                self._explore_legacy(state, group, gid, options)
+            self._explore_group(state, group, gid)
             group.explored = True
             if state.emit is not None:
                 state.emit("group_explored", gid=gid, mexprs=len(group.mexprs))
@@ -495,18 +467,17 @@ class VolcanoOptimizer:
             state.exploring.discard(gid)
         return group.mexprs
 
-    def _explore_indexed(
-        self,
-        state: "_SearchState",
-        group: Group,
-        gid: int,
-        options: SearchOptions,
+    def _explore_group(
+        self, state: "_SearchState", group: Group, gid: int
     ) -> None:
-        """The fast path: only rules whose LHS root matches the m-expr's
-        operator are attempted (via the rule set's operator index), and
-        fired bookkeeping is a bitmask over dense rule ids on the m-expr
+        """Apply trans_rules to the group's m-exprs until a fixpoint.
+
+        Only rules whose LHS root matches an m-expr's operator are
+        attempted (via the rule set's operator index), and fired
+        bookkeeping is a bitmask over dense rule ids on the m-expr
         itself — no per-attempt tuple allocation or global set."""
         memo = state.memo
+        options = self.options
         mexprs = group.mexprs  # mutated in place by _build_rhs inserts
         trans_entries_for = self.ruleset.trans_entries_for
         unrestricted = not options.disabled_rules
@@ -527,48 +498,20 @@ class VolcanoOptimizer:
                 self._apply_trans_rule(state, rule, mexpr, gid)
             index += 1
 
-    def _explore_legacy(
-        self,
-        state: "_SearchState",
-        group: Group,
-        gid: int,
-        options: SearchOptions,
-    ) -> None:
-        """The pre-index hot path (``use_rule_index=False``), kept so the
-        perf harness can measure the speedup; finds identical plans."""
-        memo = state.memo
-        index = 0
-        while index < len(group.mexprs):
-            if not options.exploration_budget_left(memo):
-                break
-            mexpr = group.mexprs[index]
-            for rule in self.ruleset.trans_rules:
-                if not options.allows(rule.name):
-                    continue
-                fired_key = (rule.name, id(mexpr))
-                if fired_key in state.fired:
-                    continue
-                state.fired.add(fired_key)
-                self._apply_trans_rule(state, rule, mexpr, gid)
-            index += 1
-
     def _apply_trans_rule(
         self, state: "_SearchState", rule: TransRule, mexpr: MExpr, gid: int
     ) -> None:
         memo = state.memo
         expand = lambda child_gid: self._explore(state, child_gid)  # noqa: E731
-        expand_op = None
-        if self.options.use_rule_index:
-            # Fast path: nested pattern nodes enumerate only the input
-            # group's members with the right root operator (the group's
-            # by_op index), instead of scanning every member.
-            def expand_op(child_gid: int, op_name: str):  # noqa: E731
-                self._explore(state, child_gid)
-                return memo.group(child_gid).by_op.get(op_name, ())
+
+        # Nested pattern nodes enumerate only the input group's members
+        # with the right root operator (the group's by_op index), instead
+        # of scanning every member.
+        def expand_op(child_gid: int, op_name: str):
+            self._explore(state, child_gid)
+            return memo.group(child_gid).by_op.get(op_name, ())
 
         appl_code = rule.appl_code
-        if self.options.use_rule_index and rule.appl_code_fast is not None:
-            appl_code = rule.appl_code_fast
         emit = state.emit
         if emit is not None:
             emit("trans_attempt", rule=rule.name, gid=gid)
@@ -596,27 +539,18 @@ class VolcanoOptimizer:
             state.stats.trans_matched.add(rule.name)
 
     def _trans_env(self, rule: TransRule, binding: MatchBinding) -> ActionEnv:
-        schema = self.ruleset.schema
-        if self.options.use_rule_index:
-            # Fast path: fresh RHS descriptors materialize on first
-            # access — most bindings fail the rule's condition without
-            # ever touching them.  The binding is single-use, so its
-            # descriptor dict seeds the namespace directly.
-            bound = binding.descriptors
-            return ActionEnv(
-                LazyFreshDescriptors(bound, rule.fresh_rhs_names, schema),
-                self.ruleset.helpers,
-                context=self.context,
-                readonly=bound.keys(),
-            )
-        descriptors = dict(binding.descriptors)
-        for name in rule.fresh_rhs_names:
-            descriptors[name] = Descriptor(schema)
+        # Fresh RHS descriptors materialize on first access — most
+        # bindings fail the rule's condition without ever touching them.
+        # The binding is single-use, so its descriptor dict seeds the
+        # namespace directly.
+        bound = binding.descriptors
         return ActionEnv(
-            descriptors,
+            LazyFreshDescriptors(
+                bound, rule.fresh_rhs_names, self.ruleset.schema
+            ),
             self.ruleset.helpers,
             context=self.context,
-            readonly=binding.descriptors.keys(),
+            readonly=bound.keys(),
         )
 
     def _build_rhs(
@@ -646,42 +580,36 @@ class VolcanoOptimizer:
         # equivalent to the target group, so a duplicate found in another
         # group means the two groups are equivalent; keeping the original
         # home is this memo's documented behaviour.
-        if self.options.use_rule_index:
-            # Fast path: most RHS nodes are re-derivations of known
-            # m-exprs, so probe the duplicate-elimination index *before*
-            # paying for descriptor materialization, copy and m-expr
-            # allocation.  A fresh RHS descriptor the rule's actions never
-            # wrote stays lazily absent (``dict.get`` skips ``__missing__``)
-            # and its argument projection is the schema-default constant.
-            descriptors = env.descriptors
-            descriptor = descriptors.get(elem.descriptor)
-            if descriptor is None:
-                if elem.descriptor not in descriptors._fresh:
-                    env.descriptor(elem.descriptor)  # canonical ActionError
-                projection = self._default_arg_projection
-            else:
-                projection = descriptor.project(memo.argument_properties)
-            key = (elem.op_name, child_gids, projection)
-            canonical = memo._index.get(key)  # inlined Memo.probe
-            created = False
-            if canonical is None:
-                if descriptor is None:
-                    # Unshared and default-valued: safe to hand straight
-                    # to the m-expr, no copy.
-                    descriptor = Descriptor(self.ruleset.schema)
-                else:
-                    descriptor = descriptor.copy()
-                canonical, created = memo.insert(
-                    MExpr(elem.op_name, child_gids, descriptor),
-                    group_id=target_group,
-                    allow_cross_group=True,
-                    key=key,
-                )
+        #
+        # Most RHS nodes are re-derivations of known m-exprs, so probe the
+        # duplicate-elimination index *before* paying for descriptor
+        # materialization, copy and m-expr allocation.  A fresh RHS
+        # descriptor the rule's actions never wrote stays lazily absent
+        # (``dict.get`` skips ``__missing__``) and its argument projection
+        # is the schema-default constant.
+        descriptors = env.descriptors
+        descriptor = descriptors.get(elem.descriptor)
+        if descriptor is None:
+            if elem.descriptor not in descriptors._fresh:
+                env.descriptor(elem.descriptor)  # canonical ActionError
+            projection = self._default_arg_projection
         else:
-            descriptor = env.descriptor(elem.descriptor)
-            mexpr = MExpr(elem.op_name, child_gids, descriptor.copy())
+            projection = descriptor.project(memo.argument_properties)
+        key = (elem.op_name, child_gids, projection)
+        canonical = memo._index.get(key)  # inlined Memo.probe
+        created = False
+        if canonical is None:
+            if descriptor is None:
+                # Unshared and default-valued: safe to hand straight to
+                # the m-expr, no copy.
+                descriptor = Descriptor(self.ruleset.schema)
+            else:
+                descriptor = descriptor.copy()
             canonical, created = memo.insert(
-                mexpr, group_id=target_group, allow_cross_group=True
+                MExpr(elem.op_name, child_gids, descriptor),
+                group_id=target_group,
+                allow_cross_group=True,
+                key=key,
             )
         if created and target_group is None:
             # A brand-new group must be closed under the trans_rules right
@@ -1048,14 +976,13 @@ class _SearchState:
     is live, else None; every emit site in the engine guards on it.
     """
 
-    __slots__ = ("memo", "stats", "exploring", "optimizing", "fired", "emit")
+    __slots__ = ("memo", "stats", "exploring", "optimizing", "emit")
 
     def __init__(self, memo: Memo, stats: SearchStats, emit=None) -> None:
         self.memo = memo
         self.stats = stats
         self.exploring: set[int] = set()
         self.optimizing: set[tuple] = set()
-        self.fired: set[tuple] = set()
         self.emit = emit
 
 

@@ -6,6 +6,7 @@ from repro.bench.harness import (
     ExperimentConfig,
     OptimizerPair,
     build_optimizer_pair,
+    current_git_sha,
     full_mode,
     run_query_point,
     sweep_query,
@@ -109,6 +110,29 @@ class TestHarness:
         )
         with pytest.raises(AssertionError):
             run_query_point(frankenstein, "Q1", n_joins=2, instances=1)
+
+
+class TestEnvironment:
+    def test_current_git_sha_in_repo(self):
+        sha = current_git_sha()
+        assert sha == "unknown" or len(sha) == 40
+
+    def test_current_git_sha_outside_repo(self, tmp_path):
+        assert current_git_sha(str(tmp_path)) == "unknown"
+
+    def test_bench_environment_keys(self):
+        """optbench stamps every result with these keys.  (Imported
+        through the module: a bare ``bench_*`` name would be collected
+        as a benchmark.)"""
+        from repro.bench import harness
+
+        assert set(harness.bench_environment()) == {
+            "python",
+            "implementation",
+            "platform",
+            "cpu_count",
+            "git_sha",
+        }
 
 
 class TestReporting:

@@ -24,9 +24,8 @@ from repro.algebra.interning import (
 )
 from repro.algebra.properties import DescriptorSchema, PropertyDef, PropertyType
 from repro.bench.harness import build_optimizer_pair
-from repro.volcano.explain import explain_plan
 from repro.volcano.plancache import tree_fingerprint
-from repro.volcano.search import SearchOptions, VolcanoOptimizer
+from repro.volcano.search import VolcanoOptimizer
 from repro.workloads.queries import make_query_instance
 
 SCHEMA = DescriptorSchema(
@@ -200,25 +199,22 @@ class TestTreeInterning:
 
 
 class TestEngineIntegration:
+    # (cost, memo_descriptor_objects) of the same searches by the engine
+    # with descriptor interning switched off, measured in a fresh process
+    # before interning became unconditional.  Interning must reproduce
+    # the cost exactly (test_search_golden pins the plans) while keeping
+    # strictly fewer descriptor objects in the memo.
+    UNINTERNED = {"Q5": (140.62639178000003, 301), "Q7": (140.64242651, 3547)}
+
     @pytest.mark.parametrize("qname,joins", [("Q5", 2), ("Q7", 2)])
     def test_interning_changes_nothing_and_shrinks_memo(self, qname, joins):
-        """The acceptance bar: interning on vs off gives bit-identical
-        plans and costs while retaining measurably fewer objects."""
         pair = build_optimizer_pair("oodb")
-        results = {}
-        for enabled in (True, False):
-            catalog, tree = make_query_instance(pair.schema, qname, joins, 0)
-            result = VolcanoOptimizer(
-                pair.generated,
-                catalog,
-                options=SearchOptions(intern_descriptors=enabled),
-            ).optimize(tree)
-            results[enabled] = result
-        on, off = results[True], results[False]
-        assert on.cost == off.cost
-        assert explain_plan(on.plan) == explain_plan(off.plan)
-        assert on.stats.memo_descriptor_objects < off.stats.memo_descriptor_objects
-        assert on.stats.descriptor_values_shared > 0
+        catalog, tree = make_query_instance(pair.schema, qname, joins, 0)
+        result = VolcanoOptimizer(pair.generated, catalog).optimize(tree)
+        uninterned_cost, uninterned_objects = self.UNINTERNED[qname]
+        assert result.cost == uninterned_cost
+        assert result.stats.memo_descriptor_objects < uninterned_objects
+        assert result.stats.descriptor_values_shared > 0
 
     def test_interning_counters_surface_via_metrics(self):
         from repro.obs import MetricsRegistry

@@ -389,66 +389,54 @@ class TestCrossGroupInsert:
 
 
 class TestSearchOptionBudgets:
-    @pytest.mark.parametrize("use_rule_index", [True, False])
-    def test_max_mexprs_caps_derivation(
-        self, schema, oodb_volcano_generated, use_rule_index
-    ):
+    def test_max_mexprs_caps_derivation(self, schema, oodb_volcano_generated):
         catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        free = VolcanoOptimizer(
-            oodb_volcano_generated,
-            catalog,
-            options=SearchOptions(use_rule_index=use_rule_index),
-        ).optimize(tree)
+        free = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
         capped = VolcanoOptimizer(
             oodb_volcano_generated,
             catalog,
-            options=SearchOptions(
-                max_mexprs=30, use_rule_index=use_rule_index
-            ),
+            options=SearchOptions(max_mexprs=30),
         ).optimize(tree)
         assert capped.stats.mexprs < free.stats.mexprs
         assert capped.cost >= free.cost  # pruning never finds better plans
 
-    @pytest.mark.parametrize("use_rule_index", [True, False])
-    def test_max_groups_caps_derivation(
-        self, schema, oodb_volcano_generated, use_rule_index
-    ):
+    def test_max_groups_caps_derivation(self, schema, oodb_volcano_generated):
         catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        free = VolcanoOptimizer(
-            oodb_volcano_generated,
-            catalog,
-            options=SearchOptions(use_rule_index=use_rule_index),
-        ).optimize(tree)
+        free = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
         capped = VolcanoOptimizer(
             oodb_volcano_generated,
             catalog,
-            options=SearchOptions(
-                max_groups=12, use_rule_index=use_rule_index
-            ),
+            options=SearchOptions(max_groups=12),
         ).optimize(tree)
         assert capped.stats.groups < free.stats.groups
 
-    def test_budget_cutoff_identical_across_paths(
-        self, schema, oodb_volcano_generated
-    ):
-        """The indexed and legacy paths fire rules in the same order, so
-        a budget must cut both off at the identical point."""
+    def test_budget_cutoff_is_pinned(self, schema, oodb_volcano_generated):
+        """A budget cuts exploration off at a point fixed by the rule
+        firing order, so the budgeted outcome is pinned exactly: any
+        change to that order shows up here."""
         from repro.volcano.explain import explain
 
         catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        results = []
-        for use_rule_index in (True, False):
-            result = VolcanoOptimizer(
-                oodb_volcano_generated,
-                catalog,
-                options=SearchOptions(
-                    max_mexprs=40, use_rule_index=use_rule_index
-                ),
-            ).optimize(tree)
-            results.append(
-                (result.cost, result.stats.mexprs, explain(result, verbose=False))
-            )
-        assert results[0] == results[1]
+        result = VolcanoOptimizer(
+            oodb_volcano_generated,
+            catalog,
+            options=SearchOptions(max_mexprs=40),
+        ).optimize(tree)
+        assert result.cost == 209.14132248
+        assert result.stats.mexprs == 45
+        assert explain(result, verbose=False) == """\
+-> Filter  (rows≈0, cost=209.14)  [filter: a1 = 1]
+  -> Hash_join  (rows≈2, cost=209.13)  [join on: b1 = b2]
+    -> File_scan  (rows≈2824, cost=34.47)
+      -> C1 (stored file)
+    -> Hash_join  (rows≈0, cost=146.41)  [join on: b2 = b3]
+      -> File_scan  (rows≈10, cost=56.48)  [filter: a3 = 3]
+        -> C3 (stored file)
+      -> Filter  (rows≈10, cost=89.63)  [filter: a2 = 2]
+        -> File_scan  (rows≈4036, cost=49.27)
+          -> C2 (stored file)
+
+total estimated cost: 209.14"""
 
     def test_stats_dict_reports_cache_counters(
         self, schema, oodb_volcano_generated

@@ -1,5 +1,7 @@
 """Unit/behaviour tests for the top-down search engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.algebra.expressions import Expression, StoredFileRef, is_access_plan, walk
@@ -13,7 +15,7 @@ from repro.volcano.properties import (
     is_trivial,
     satisfies,
 )
-from repro.volcano.search import VolcanoOptimizer
+from repro.volcano.search import SearchStats, VolcanoOptimizer
 from repro.workloads.expressions import build_e1
 
 
@@ -179,6 +181,16 @@ class TestSearchSpace:
         assert stats["trans_fired"] > 0
         assert stats["impl_succeeded"] > 0
         assert stats["elapsed_seconds"] > 0
+
+    def test_stats_dict_reports_every_int_counter(self):
+        """as_dict() feeds the metrics registry and the OpenMetrics
+        exposition: a counter missing from it is invisible there."""
+        stats = SearchStats()
+        int_fields = [
+            f.name for f in dataclasses.fields(stats) if f.type in (int, "int")
+        ]
+        assert "trans_considered" in int_fields
+        assert set(int_fields) <= set(stats.as_dict())
 
     def test_plan_leaves_are_files(
         self, relational_volcano_generated, e1_setup
