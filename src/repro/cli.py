@@ -397,29 +397,31 @@ def _cmd_batch(args, out) -> int:
                 label=f"{qname}({args.joins} joins)",
             )
         )
-    optimizer = BatchOptimizer(
-        "repro.bench.harness:generated_ruleset",
-        (args.ruleset,),
-        mode=args.mode,
-        workers=args.workers,
-        trace=args.trace is not None,
-    )
     registry = None
     if args.metrics or args.metrics_file is not None:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-    for round_number in range(1, max(1, args.repeat) + 1):
-        report = optimizer.run(items)
-        if registry is not None:
-            registry.record_batch_report(report)
-        out.write(
-            f"batch {round_number}: {len(report.results)} queries, "
-            f"mode={report.mode}, workers={report.workers}, "
-            f"{report.elapsed_seconds:.3f}s "
-            f"({report.queries_per_second:.1f} q/s), "
-            f"cache merged={report.merged_entries}\n"
-        )
+    # One optimizer (and, in process mode, one worker set) serves every
+    # round; leaving the block stops the workers.
+    with BatchOptimizer(
+        "repro.bench.harness:generated_ruleset",
+        (args.ruleset,),
+        mode=args.mode,
+        workers=args.workers,
+        trace=args.trace is not None,
+    ) as optimizer:
+        for round_number in range(1, max(1, args.repeat) + 1):
+            report = optimizer.run(items)
+            if registry is not None:
+                registry.record_batch_report(report)
+            out.write(
+                f"batch {round_number}: {len(report.results)} queries, "
+                f"mode={report.mode}, workers={report.workers}, "
+                f"{report.elapsed_seconds:.3f}s "
+                f"({report.queries_per_second:.1f} q/s), "
+                f"cache merged={report.merged_entries}\n"
+            )
     for item_result in report.results:
         out.write(
             f"  {item_result.label:<18} cost={item_result.cost:.4f} "

@@ -13,11 +13,20 @@ optimizes them in one of three modes:
   speed-up for this CPU-bound search, but the mode exercises the exact
   concurrency surface (shared cache, per-item optimizers) with cheap
   failure modes, so it is the determinism-under-concurrency test bed.
-* ``"process"`` — a ``ProcessPoolExecutor``.  Workers rebuild the rule
-  set from a factory spec (rule sets do not pickle — see
-  :mod:`repro.parallel.worker`), hold a warm per-worker plan cache
-  seeded from the parent cache's snapshot, and ship their cache
-  snapshot back for the parent to merge, so later batches start warm.
+* ``"process"`` — long-lived worker processes, one per stripe, started
+  on the first ``run()`` and kept until :meth:`BatchOptimizer.close`
+  (or until the optimizer is garbage-collected).  Stripe *i* always
+  goes to worker *i* over its own pipe.  Workers rebuild the rule set
+  once from a factory spec (rule sets do not pickle — see
+  :mod:`repro.parallel.worker`) and keep a warm plan cache across
+  batches.  Cache traffic is a delta: the parent remembers which
+  portable keys each worker holds (shipped to it or received from it),
+  sends each chunk only the parent entries that worker lacks, and
+  merges back only the entries the worker stored while running the
+  chunk.  A parent-side :meth:`~repro.volcano.plancache.PlanCache.invalidate`
+  makes every worker clear its cache before its next chunk.  A worker
+  that died is replaced on the next ``run()``; an exception raised in a
+  worker re-raises from ``run()`` with its own type.
 
 Whatever the mode or worker count, results are **bit-identical** to
 serial optimization: the search is deterministic, plan-cache hits
@@ -26,9 +35,9 @@ reassembled in input order.
 
 Batches can run **traced** (``BatchOptimizer(..., trace=True)``): the
 parent and every worker run :class:`~repro.obs.tracer.WorkerTracer`
-instances sharing the parent's monotonic-clock epoch, each query's
-search is bracketed by a per-query span, and
-:attr:`BatchReport.trace` carries the merged, time-sorted event
+instances on the batch's monotonic-clock epoch (process workers get it
+with each chunk), each query's search is bracketed by a per-query span,
+and :attr:`BatchReport.trace` carries the merged, time-sorted event
 timeline — ready for :func:`repro.obs.export.write_chrome_trace`,
 which lays workers out as separate ``pid`` lanes.  Tracing never
 changes results: the property tests assert plans, costs, and stats are
@@ -37,14 +46,22 @@ bit-identical with tracing on and off in every mode.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.obs.tracer import WorkerTracer
-from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, PlanCache
+from repro.volcano.plancache import (
+    DEFAULT_MAX_ENTRIES,
+    CacheSnapshot,
+    PlanCache,
+)
 from repro.volcano.search import (
     NO_HEURISTICS,
     SearchOptions,
@@ -52,7 +69,10 @@ from repro.volcano.search import (
     VolcanoOptimizer,
 )
 
-from repro.parallel.worker import init_worker, optimize_chunk, resolve_factory
+from repro.parallel.worker import resolve_factory, serve
+
+#: Seconds a stopping worker gets to exit before it is terminated.
+STOP_TIMEOUT_S = 5.0
 
 MODES = ("serial", "thread", "process")
 
@@ -130,6 +150,44 @@ def _chunk(items: Sequence, parts: int) -> "list[list]":
     return [list(items[i::parts]) for i in range(parts)]
 
 
+class RemoteTraceback(Exception):
+    """A batch worker's formatted traceback, chained as the cause of the
+    worker exception that :meth:`BatchOptimizer.run` re-raises."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+@dataclass
+class _Worker:
+    """The parent's handle on one long-lived worker process."""
+
+    process: Any
+    conn: Any
+    #: Portable plan-cache keys the worker holds, as far as the parent
+    #: knows: the parent's keys at the last chunk sent (which shipped
+    #: the ones it lacked) plus the ones received from it since.
+    known: "set[tuple]" = field(default_factory=set)
+    #: The parent cache's ``clears`` count at the last chunk sent.
+    clears: int = 0
+
+
+def _stop_workers(workers: "list[_Worker]") -> None:
+    """Stop and reap ``workers`` and empty the list (idempotent)."""
+    for worker in workers:
+        try:
+            worker.conn.send_bytes(pickle.dumps(None))
+        except OSError:
+            pass  # already gone
+    for worker in workers:
+        worker.process.join(STOP_TIMEOUT_S)
+        if worker.process.is_alive():
+            worker.process.terminate()
+            worker.process.join()
+        worker.conn.close()
+    workers.clear()
+
+
 class BatchOptimizer:
     """Optimize batches of queries with a persistent shared plan cache.
 
@@ -152,10 +210,14 @@ class BatchOptimizer:
         When true, every :meth:`run` collects a merged cross-worker
         event timeline into :attr:`BatchReport.trace`.
 
-    The parent-side :attr:`cache` outlives :meth:`run` calls: snapshots
-    of it seed every process worker, and worker snapshots merge back
-    after each batch, so a second batch of similar queries is mostly
-    cache hits in any mode.
+    The parent-side :attr:`cache` outlives :meth:`run` calls: its
+    entries seed every process worker, and the entries workers store
+    merge back after each batch, so a second batch of similar queries
+    is mostly cache hits in any mode.
+
+    Process mode keeps its worker processes between :meth:`run` calls;
+    :meth:`close` (or leaving a ``with`` block) stops them, and an
+    optimizer dropped without ``close()`` stops them when collected.
     """
 
     def __init__(
@@ -179,6 +241,9 @@ class BatchOptimizer:
         self.trace = bool(trace)
         self.ruleset = resolve_factory(factory_spec, self.factory_args)
         self.cache = PlanCache(cache_max_entries)
+        self._workers: "list[_Worker]" = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _stop_workers, self._workers)
 
     # -- public API --------------------------------------------------------
 
@@ -288,54 +353,168 @@ class BatchOptimizer:
         ]
         chunks = _chunk(payload_items, self.workers)
         emit = tracer.emit if tracer is not None else None
-        parent_snapshot = self.cache.snapshot(
-            self.ruleset, self.factory_spec, emit=emit
-        )
-        results: "list[BatchItemResult]" = []
-        merged = 0
-        worker_stats = []
-        worker_events: "list[dict]" = []
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=init_worker,
-            initargs=(
-                self.factory_spec,
-                self.factory_args,
-                self.options,
-                self.cache_max_entries,
-                tracer is not None,
-                tracer.epoch if tracer is not None else None,
-            ),
-        ) as pool:
-            futures = [
-                pool.submit(optimize_chunk, (chunk, parent_snapshot))
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_results, snapshot, cache_stats, events = future.result()
+        epoch = tracer.epoch if tracer is not None else None
+        with self._lock:
+            # Read before the snapshot: an invalidate() racing with this
+            # run then shows as a moved count on the next run.
+            clears = self.cache.clears
+            parent = self.cache.snapshot(
+                self.ruleset, self.factory_spec, emit=emit
+            )
+            workers = self._live_workers()[: len(chunks)]
+            # Pickle every payload before sending any, so an item that
+            # does not pickle fails the run with no worker mid-chunk.
+            payloads = []
+            for worker, chunk in zip(workers, chunks):
+                reset = worker.clears != clears
+                known = set() if reset else worker.known
+                delta = CacheSnapshot(
+                    parent.ruleset_tag,
+                    [
+                        (key, entry)
+                        for key, entry in parent.entries
+                        if key not in known
+                    ],
+                )
+                payloads.append(pickle.dumps((chunk, delta, reset, epoch)))
+            try:
+                replies, failure = self._exchange(workers, payloads)
+            except BaseException:
+                # An abandoned exchange leaves replies in the pipes for
+                # the next run to misread: replace every worker instead.
+                for worker in self._workers:
+                    worker.process.terminate()
+                _stop_workers(self._workers)
+                raise
+            parent_keys = {key for key, _entry in parent.entries}
+            results: "list[BatchItemResult]" = []
+            merged = 0
+            worker_stats = []
+            worker_events: "list[dict]" = []
+            for worker, reply in replies:
+                # The delta filled exactly the gap, so the worker holds
+                # every parent key (keys the parent dropped fall out of
+                # its known set here) plus the ones it just stored.
+                worker.known = set(parent_keys)
+                worker.clears = clears
+                if reply is None:
+                    continue  # the chunk raised; the failure re-raises below
+                chunk_results, fresh, cache_stats, events = reply
                 for index, plan, cost, stats in chunk_results:
-                    item = items[index]
                     results.append(
                         BatchItemResult(
                             index=index,
-                            label=item.label,
+                            label=items[index].label,
                             plan=plan,
                             cost=cost,
                             stats=stats,
                         )
                     )
                 merged += self.cache.merge_snapshot(
-                    snapshot, self.ruleset, emit=emit
+                    fresh, self.ruleset, emit=emit
                 )
+                worker.known.update(key for key, _entry in fresh.entries)
                 worker_stats.append(cache_stats)
                 if events:
                     worker_events.extend(events)
+        if failure is not None:
+            error, text = failure
+            if text:
+                raise error from RemoteTraceback(text)
+            raise error
         results.sort(key=lambda r: r.index)
         report = self._report(results, worker_stats)
         report.merged_entries = merged
         if worker_events:
             report.trace = worker_events
         return report
+
+    def _exchange(self, workers, payloads) -> tuple:
+        """Send each worker its payload, then read every reply.
+
+        Returns ``(replies, failure)``: ``replies`` pairs each worker
+        that took its chunk with its reply (``None`` when the chunk
+        raised), and ``failure`` is the first ``(exception,
+        traceback_text)`` seen, or ``None``.  A worker whose pipe broke
+        is reaped (and replaced by the next run).
+        """
+        failure = None
+        sent = []
+        for worker, payload in zip(workers, payloads):
+            try:
+                worker.conn.send_bytes(payload)
+            except OSError:
+                failure = failure or self._lost(worker)
+            else:
+                sent.append(worker)
+        replies = []
+        for worker in sent:
+            try:
+                error, reply = pickle.loads(worker.conn.recv_bytes())
+            except (EOFError, OSError):
+                failure = failure or self._lost(worker)
+                continue
+            if error is not None:
+                failure = failure or (error, reply)
+                reply = None
+            replies.append((worker, reply))
+        return replies, failure
+
+    # -- process workers ---------------------------------------------------
+
+    def _live_workers(self) -> "list[_Worker]":
+        """The worker set, started on first use; dead workers replaced."""
+        if not self._workers:
+            self._workers.extend(
+                self._start_worker() for _ in range(self.workers)
+            )
+        for slot, worker in enumerate(self._workers):
+            if not worker.process.is_alive():
+                _stop_workers([worker])
+                self._workers[slot] = self._start_worker()
+        return self._workers
+
+    def _start_worker(self) -> "_Worker":
+        context = multiprocessing.get_context()
+        conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=serve,
+            args=(
+                child_conn,
+                self.factory_spec,
+                self.factory_args,
+                self.options,
+                self.cache_max_entries,
+            ),
+            name="batch-worker",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process, conn, clears=self.cache.clears)
+
+    @staticmethod
+    def _lost(worker: "_Worker") -> tuple:
+        """Reap a worker whose pipe broke; the next run replaces it."""
+        pid = worker.process.pid
+        _stop_workers([worker])
+        error = RuntimeError(
+            f"batch worker {pid} exited unexpectedly "
+            f"(exit code {worker.process.exitcode})"
+        )
+        return error, None
+
+    def close(self) -> None:
+        """Stop the process workers.  Idempotent; a later process-mode
+        :meth:`run` starts a fresh worker set."""
+        with self._lock:
+            _stop_workers(self._workers)
+
+    def __enter__(self) -> "BatchOptimizer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _report(self, results, worker_stats) -> BatchReport:
         return BatchReport(

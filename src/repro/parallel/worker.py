@@ -1,39 +1,59 @@
-"""Process-pool worker side of the batch optimizer.
+"""Long-lived process worker of the batch optimizer.
 
 Rule sets cannot cross process boundaries: P2V-generated rule sets hold
 compiled code objects and closures, which do not pickle.  Workers
 therefore rebuild their rule set from a **factory spec** — a
 ``"module:attr"`` string naming either a rule-set object or a callable
-returning one (called with the spec's ``args``).  Both sides of the pool
-agree on the spec, which doubles as the rule-set *tag* in portable
-plan-cache keys (:meth:`repro.volcano.plancache.PlanCache.snapshot`).
+returning one (called with the spec's ``args``).  Both sides agree on
+the spec, which doubles as the rule-set *tag* in portable plan-cache
+keys (:meth:`repro.volcano.plancache.PlanCache.snapshot`).
 
-Each worker process holds exactly one :class:`WorkerState` — the rebuilt
-rule set plus a warm :class:`~repro.volcano.plancache.PlanCache` that
-lives for the life of the process.  Chunks arrive with the parent
-cache's current snapshot (so workers start warm even on their first
-chunk of a later batch) and return results together with the worker
-cache's own snapshot, which the parent merges back.
+A process-mode :class:`~repro.parallel.batch.BatchOptimizer` starts one
+worker process per stripe on its first ``run()`` and keeps them until
+``close()``.  Each runs :func:`serve`: it builds exactly one
+:class:`WorkerState` — the rebuilt rule set plus a warm
+:class:`WorkerCache` — for its whole lifetime (:func:`init_worker`),
+then answers chunk requests on its pipe with :func:`optimize_chunk`
+until the parent says stop.
 
-Everything that crosses the boundary is plain data: trees, catalogs,
-plans, :class:`~repro.volcano.search.SearchStats`, cache snapshots —
-and, when the batch runs traced, each worker's event buffer: the worker
-runs a :class:`~repro.obs.tracer.WorkerTracer` whose clock is aligned
-to the parent's epoch, and every chunk result carries the events it
-produced, drained, so the parent can merge all workers onto one
-timeline (:attr:`repro.parallel.batch.BatchReport.trace`).
+Cache traffic is a delta in both directions.  A chunk carries only the
+parent cache entries this worker does not hold yet (the parent tracks,
+per worker, the keys it shipped and received), and the reply carries
+only the entries the worker stored while running that chunk, which the
+parent merges.  A chunk flagged ``reset`` (the parent's cache was
+:meth:`~repro.volcano.plancache.PlanCache.invalidate`\\ d since this
+worker's last chunk) first clears the worker's cache.
+
+Everything that crosses the boundary is plain pickled data: trees,
+catalogs, plans, :class:`~repro.volcano.search.SearchStats`, cache
+snapshots, exceptions — and, when the batch runs traced, the chunk's
+events: the chunk carries the batch's trace epoch, the worker runs a
+:class:`~repro.obs.tracer.WorkerTracer` aligned to it for that chunk,
+and the reply carries the drained events, so the parent can merge all
+workers onto the batch's timeline
+(:attr:`repro.parallel.batch.BatchReport.trace`).
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+import pickle
+import traceback
 from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.tracer import WorkerTracer
-from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, PlanCache
+from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, MemoSummary, PlanCache
 from repro.volcano.search import SearchOptions, VolcanoOptimizer
+
+#: How often (seconds) an idle worker checks that its parent still
+#: lives; an orphaned worker exits instead of waiting forever.
+PARENT_CHECK_S = 1.0
+
+#: ``PlanCache.stats()`` counters reported per chunk rather than
+#: cumulatively (``entries`` stays the current size).
+CHUNK_COUNTERS = ("hits", "misses", "invalidations", "evictions", "merged_in")
 
 
 def resolve_factory(spec: str, args: tuple = ()) -> Any:
@@ -56,18 +76,36 @@ def resolve_factory(spec: str, args: tuple = ()) -> Any:
     return obj
 
 
+class WorkerCache(PlanCache):
+    """A worker's plan cache.
+
+    Notes the portable part of every key stored into it, so a chunk's
+    reply can carry just the entries that chunk produced.  Stores a
+    :class:`~repro.volcano.plancache.MemoSummary` in place of the full
+    memo: worker entries only answer worker-side hits (which read the
+    memo's two counts) and cross to the parent as summaries anyway, so
+    in a long-lived worker a full memo would only hold memory.
+    """
+
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+        super().__init__(max_entries)
+        self.stored: "set[tuple]" = set()
+
+    def store(self, key, plan, cost, memo, catalog, emit=None):
+        self.stored.add(key[1:])
+        return super().store(
+            key, plan, cost, MemoSummary.of(memo), catalog, emit
+        )
+
+
 @dataclass
 class WorkerState:
     """Per-process state: the rebuilt rule set and the warm cache."""
 
     ruleset: Any
     options: SearchOptions
-    cache: PlanCache
+    cache: WorkerCache
     tag: str
-    tracer: "WorkerTracer | None" = None
-
-
-_STATE: "WorkerState | None" = None
 
 
 def init_worker(
@@ -75,40 +113,30 @@ def init_worker(
     factory_args: tuple,
     options: SearchOptions,
     cache_max_entries: int = DEFAULT_MAX_ENTRIES,
-    trace: bool = False,
-    trace_epoch: "float | None" = None,
-) -> None:
-    """Pool initializer: build this process's rule set and plan cache.
-
-    When ``trace`` is set, the process also gets a
-    :class:`~repro.obs.tracer.WorkerTracer` identified by its pid and
-    aligned to ``trace_epoch`` — the parent's ``time.perf_counter()``
-    reading at batch start — so its event timestamps merge cleanly onto
-    the parent's timeline.
-    """
-    global _STATE
-    tracer = None
-    if trace:
-        tracer = WorkerTracer(worker_id=os.getpid(), epoch=trace_epoch)
-    _STATE = WorkerState(
+) -> WorkerState:
+    """Build a worker's rule set and plan cache (once per worker)."""
+    return WorkerState(
         ruleset=resolve_factory(spec, factory_args),
         options=options,
-        cache=PlanCache(cache_max_entries),
+        cache=WorkerCache(cache_max_entries),
         tag=spec,
-        tracer=tracer,
     )
 
 
-def optimize_chunk(payload: tuple) -> tuple:
-    """Optimize one chunk of batch items in this worker.
+def optimize_chunk(state: WorkerState, payload: tuple) -> tuple:
+    """Optimize one chunk of batch items in the worker owning ``state``.
 
-    ``payload`` is ``(items, parent_snapshot)`` where ``items`` is a
-    list of ``(index, label, tree, catalog, required)`` tuples and
-    ``parent_snapshot`` is the parent cache's exported state (or
-    ``None``).  Returns ``(results, snapshot, cache_stats, events)``
-    with ``results`` a list of ``(index, plan, cost, stats)`` in chunk
-    order and ``events`` the worker tracer's drained event dicts (or
-    ``None`` when the batch is untraced).
+    ``payload`` is ``(items, delta, reset, trace_epoch)``: ``items`` a
+    list of ``(index, label, tree, catalog, required)`` tuples,
+    ``delta`` a :class:`~repro.volcano.plancache.CacheSnapshot` of the
+    parent entries this worker lacks, ``reset`` whether to clear the
+    cache first, and ``trace_epoch`` the batch's trace epoch (``None``
+    when untraced).  Returns ``(results, fresh, cache_stats, events)``:
+    ``results`` a list of ``(index, plan, cost, stats)`` in chunk
+    order, ``fresh`` a snapshot of the entries stored during this
+    chunk, ``cache_stats`` the cache's :meth:`~PlanCache.stats` with
+    every counter in :data:`CHUNK_COUNTERS` counted over this chunk
+    only, and ``events`` the chunk's drained trace events (or ``None``).
 
     A fresh :class:`VolcanoOptimizer` is built per item (they are cheap;
     catalogs differ per item), all sharing the worker's plan cache — the
@@ -117,23 +145,24 @@ def optimize_chunk(payload: tuple) -> tuple:
     inside a :meth:`~repro.obs.tracer.WorkerTracer.query_span`, so every
     optimized query shows as one labelled span in the merged timeline.
     """
-    state = _STATE
-    if state is None:
-        raise RuntimeError(
-            "worker not initialized (optimize_chunk outside a pool?)"
-        )
-    items, parent_snapshot = payload
-    tracer = state.tracer
+    items, delta, reset, trace_epoch = payload
+    cache = state.cache
+    tracer = None
+    if trace_epoch is not None:
+        tracer = WorkerTracer(worker_id=os.getpid(), epoch=trace_epoch)
     emit = tracer.emit if tracer is not None else None
-    if parent_snapshot is not None:
-        state.cache.merge_snapshot(parent_snapshot, state.ruleset, emit=emit)
+    if reset:
+        cache.invalidate()
+    before = cache.stats()
+    cache.stored.clear()
+    cache.merge_snapshot(delta, state.ruleset, emit=emit)
     results = []
     for index, label, tree, catalog, required in items:
         optimizer = VolcanoOptimizer(
             state.ruleset,
             catalog,
             options=state.options,
-            plan_cache=state.cache,
+            plan_cache=cache,
             tracer=tracer,
         )
         if tracer is not None:
@@ -142,6 +171,61 @@ def optimize_chunk(payload: tuple) -> tuple:
         else:
             result = optimizer.optimize(tree, required)
         results.append((index, result.plan, result.cost, result.stats))
-    snapshot = state.cache.snapshot(state.ruleset, state.tag, emit=emit)
+    fresh = cache.snapshot(state.ruleset, state.tag, emit=emit)
+    fresh.entries = [
+        (key, entry) for key, entry in fresh.entries if key[1:] in cache.stored
+    ]
+    cache_stats = cache.stats()
+    for name in CHUNK_COUNTERS:
+        cache_stats[name] -= before[name]
     events = tracer.drain() if tracer is not None else None
-    return results, snapshot, state.cache.stats(), events
+    return results, fresh, cache_stats, events
+
+
+def _error_reply(exc: BaseException) -> bytes:
+    """Pickle ``(exc, traceback_text)``; an exception that does not
+    survive a pickle round trip travels as a ``RuntimeError`` naming it."""
+    text = "".join(traceback.format_exception(exc))
+    try:
+        data = pickle.dumps((exc, text))
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(
+            (RuntimeError(f"{type(exc).__name__}: {exc}"), text)
+        )
+    return data
+
+
+def serve(
+    conn: Any,
+    spec: str,
+    factory_args: tuple,
+    options: SearchOptions,
+    cache_max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> None:
+    """A worker process's main loop.
+
+    Reads pickled chunk payloads from ``conn`` and answers each with a
+    pickled ``(None, reply)`` (see :func:`optimize_chunk`) or, when the
+    chunk raised, ``(exception, traceback_text)`` — the worker stays up
+    either way.  Returns on a ``None`` payload, on end of file, or when
+    its parent process is gone.
+    """
+    state = init_worker(spec, factory_args, options, cache_max_entries)
+    parent = os.getppid()
+    while True:
+        if not conn.poll(PARENT_CHECK_S):
+            if os.getppid() != parent:
+                return
+            continue
+        try:
+            payload = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        if payload is None:
+            return
+        try:
+            reply = pickle.dumps((None, optimize_chunk(state, payload)))
+        except Exception as exc:  # reported to the parent, which re-raises it
+            reply = _error_reply(exc)
+        conn.send_bytes(reply)

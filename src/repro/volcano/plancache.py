@@ -190,6 +190,9 @@ class PlanCache:
         self.invalidations = 0
         self.evictions = 0
         self.merged_in = 0
+        #: How many times :meth:`invalidate` ran; lets holders of copies
+        #: of this cache's entries (batch workers) notice a clear.
+        self.clears = 0
 
     # -- pickling -------------------------------------------------------------
 
@@ -410,6 +413,7 @@ class PlanCache:
             dropped = len(self._entries)
             self._entries.clear()
             self.invalidations += dropped
+            self.clears += 1
             return dropped
 
     def __len__(self) -> int:

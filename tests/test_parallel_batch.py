@@ -7,7 +7,12 @@ workers, worker snapshots merge back, and the metrics bridge reports
 batch throughput.
 """
 
+import gc
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -326,3 +331,139 @@ class TestReportAndMetrics:
         ]
         clone = pickle.loads(pickle.dumps(payload))
         assert len(clone) == 2
+
+
+def worker_pids(report: BatchReport) -> "dict[int, int]":
+    """``{item index: pid of the worker that optimized it}`` from a
+    traced process report."""
+    return {
+        e["index"]: e["worker"]
+        for e in report.trace
+        if e["type"] == "span_begin" and e.get("name") == "optimize_query"
+    }
+
+
+def wait_dead(pid: int, timeout: float = 10.0) -> None:
+    """Wait until ``pid`` is no longer a live child of this process."""
+    deadline = time.monotonic() + timeout
+    while any(p.pid == pid for p in multiprocessing.active_children()):
+        assert time.monotonic() < deadline, f"worker {pid} still alive"
+        time.sleep(0.02)
+
+
+class TestLongLivedWorkers:
+    """Process workers outlive run(): their caches stay warm, yet every
+    run behaves as if it had a fresh, parent-seeded pool."""
+
+    ITEMS = [("Q1", 2), ("Q3", 2), ("Q5", 2)]
+
+    def test_workers_survive_between_runs(self):
+        items = make_items(self.ITEMS)
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2, trace=True
+        ) as optimizer:
+            first = worker_pids(optimizer.run(items))
+            second = worker_pids(optimizer.run(items))
+        assert first == second
+        assert os.getpid() not in first.values()
+
+    def test_worker_cache_stats_are_per_run(self):
+        items = make_items(self.ITEMS)
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2
+        ) as optimizer:
+            optimizer.run(items)
+            second = optimizer.run(items)
+        stats = second.worker_cache_stats
+        assert sum(s["hits"] + s["misses"] for s in stats) == len(items)
+        assert sum(s["hits"] for s in stats) == len(items)
+        assert sum(s["entries"] for s in stats) == 2 * len(items)
+
+    def test_parent_invalidate_clears_worker_caches(self):
+        items = make_items(self.ITEMS)
+        reports = {}
+        for mode in ("serial", "process"):
+            with BatchOptimizer(
+                FACTORY, ("oodb",), mode=mode, workers=2
+            ) as optimizer:
+                optimizer.run(items)
+                optimizer.cache.invalidate()
+                reports[mode] = optimizer.run(items)
+        assert reports["serial"].stats.plan_cache_hits == 0
+        assert reports["process"].stats.plan_cache_hits == 0
+        assert signature(reports["process"]) == signature(reports["serial"])
+
+    def test_second_traced_run_stamps_against_its_own_epoch(self):
+        items = make_items(self.ITEMS)
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2, trace=True
+        ) as optimizer:
+            optimizer.run(items)
+            trace = optimizer.run(items).trace
+        begin = next(e["ts"] for e in trace if e["type"] == "batch_begin")
+        end = next(e["ts"] for e in trace if e["type"] == "batch_end")
+        worker_events = [e for e in trace if e["worker"] != os.getpid()]
+        assert worker_events
+        assert all(begin <= e["ts"] <= end for e in worker_events)
+
+    def test_worker_exception_reraises_and_next_run_is_clean(self):
+        items = make_items(self.ITEMS)
+        bad = BatchItem(tree="not a tree", catalog=items[0].catalog)
+        expected = signature(
+            BatchOptimizer(FACTORY, ("oodb",), mode="serial").run(items)
+        )
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2
+        ) as optimizer:
+            with pytest.raises(AttributeError):
+                optimizer.run(items + [bad])
+            assert signature(optimizer.run(items)) == expected
+
+    def test_killed_worker_is_replaced_with_an_empty_cache(self):
+        items = make_items(self.ITEMS)
+        expected = signature(
+            BatchOptimizer(FACTORY, ("oodb",), mode="serial").run(items)
+        )
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2, trace=True
+        ) as optimizer:
+            pids = worker_pids(optimizer.run(items))
+            os.kill(pids[0], signal.SIGKILL)
+            wait_dead(pids[0])
+            report = optimizer.run(items)
+        assert signature(report) == expected
+        replacement = worker_pids(report)
+        assert replacement[0] != pids[0]
+        assert replacement[1] == pids[1]
+        # The replacement knew nothing, so the whole parent cache was
+        # shipped to it; the survivor only lacked the other stripe's.
+        first, second = report.worker_cache_stats
+        assert first["merged_in"] == len(items)
+        assert second["merged_in"] == len(items) - 1
+        assert report.stats.plan_cache_hits == len(items)
+
+    def test_close_reaps_workers_and_is_idempotent(self):
+        items = make_items(self.ITEMS)
+        optimizer = BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2, trace=True
+        )
+        pids = set(worker_pids(optimizer.run(items)).values())
+        assert pids <= {p.pid for p in multiprocessing.active_children()}
+        optimizer.close()
+        optimizer.close()
+        assert not pids & {p.pid for p in multiprocessing.active_children()}
+        # a closed optimizer starts a fresh worker set on demand
+        again = set(worker_pids(optimizer.run(items)).values())
+        assert not again & pids
+        optimizer.close()
+        assert not again & {p.pid for p in multiprocessing.active_children()}
+
+    def test_dropped_optimizer_reaps_workers(self):
+        items = make_items(self.ITEMS)
+        optimizer = BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2, trace=True
+        )
+        pids = set(worker_pids(optimizer.run(items)).values())
+        del optimizer
+        gc.collect()
+        assert not pids & {p.pid for p in multiprocessing.active_children()}
