@@ -21,9 +21,12 @@ This module provides *hash-consed* canonical forms for both:
 
 Interned trees pickle by value and **reconstruct into the receiving
 process's intern table** (:func:`_reintern_leaf` / :func:`_reintern_node`),
-so shipping the same query to a worker twice yields the same canonical
-objects — which is what makes the batch optimizer's IPC and per-worker
-plan caches cheap (:mod:`repro.parallel`).
+so shipping the same interned query to another process twice yields the
+same canonical objects there.  Only descriptor interning is wired into a
+request path (the memo); no request path interns operator trees yet, so
+plan-cache probes and batch IPC still see plain
+:class:`~repro.algebra.expressions.Expression` trees and take the
+tree-walking fingerprint path.
 
 Interned nodes are *frozen by contract*: their descriptors are owned by
 the intern table and must never be written through.  :func:`thaw_tree`

@@ -142,10 +142,9 @@ class Catalog:
     def version(self) -> int:
         """Monotonic mutation counter.
 
-        Every structural change (currently: adding a file) bumps it.
-        Cross-query caches (:mod:`repro.volcano.plancache`) key on the
-        version so plans computed against an older catalog state are
-        never served after the catalog changed.
+        Every structural change (currently: adding a file) bumps it,
+        which is how :meth:`state_token` knows its cached token is
+        stale.  Cross-query caches compare tokens, not versions.
         """
         return self._version
 
@@ -156,10 +155,11 @@ class Catalog:
         :class:`StoredFileInfo` entries.  Unlike object identity or the
         :attr:`version` counter, the token survives pickling: a catalog
         shipped to a worker process and back compares equal to the
-        original, which is how plan-cache entries merged across process
-        boundaries (:mod:`repro.parallel`) prove they were computed
-        against the same catalog state.  Cached per version; not a
-        Python ``hash()`` (those are salted per process).
+        original.  Plan-cache entries (:mod:`repro.volcano.plancache`)
+        record it and are valid exactly while it is unchanged, in any
+        process.  Cached per version, so an unchanged catalog returns
+        the same tuple object and the cache's check is an identity
+        test; not a Python ``hash()`` (those are salted per process).
         """
         cached = self._token_cache
         if cached is not None and cached[0] == self._version:

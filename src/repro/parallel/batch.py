@@ -57,11 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.obs.tracer import WorkerTracer
-from repro.volcano.plancache import (
-    DEFAULT_MAX_ENTRIES,
-    CacheSnapshot,
-    PlanCache,
-)
+from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, PlanCache
 from repro.volcano.search import (
     NO_HEURISTICS,
     SearchOptions,
@@ -355,26 +351,22 @@ class BatchOptimizer:
         emit = tracer.emit if tracer is not None else None
         epoch = tracer.epoch if tracer is not None else None
         with self._lock:
-            # Read before the snapshot: an invalidate() racing with this
+            # Read before the snapshots: an invalidate() racing with this
             # run then shows as a moved count on the next run.
             clears = self.cache.clears
-            parent = self.cache.snapshot(
-                self.ruleset, self.factory_spec, emit=emit
-            )
+            parent_keys = self.cache.snapshot(
+                self.ruleset, self.factory_spec
+            ).keys()
             workers = self._live_workers()[: len(chunks)]
             # Pickle every payload before sending any, so an item that
             # does not pickle fails the run with no worker mid-chunk.
             payloads = []
             for worker, chunk in zip(workers, chunks):
                 reset = worker.clears != clears
-                known = set() if reset else worker.known
-                delta = CacheSnapshot(
-                    parent.ruleset_tag,
-                    [
-                        (key, entry)
-                        for key, entry in parent.entries
-                        if key not in known
-                    ],
+                if reset:
+                    worker.known = set()
+                delta = self.cache.snapshot(
+                    self.ruleset, self.factory_spec, worker.known, emit=emit
                 )
                 payloads.append(pickle.dumps((chunk, delta, reset, epoch)))
             try:
@@ -386,7 +378,6 @@ class BatchOptimizer:
                     worker.process.terminate()
                 _stop_workers(self._workers)
                 raise
-            parent_keys = {key for key, _entry in parent.entries}
             results: "list[BatchItemResult]" = []
             merged = 0
             worker_stats = []
@@ -413,7 +404,7 @@ class BatchOptimizer:
                 merged += self.cache.merge_snapshot(
                     fresh, self.ruleset, emit=emit
                 )
-                worker.known.update(key for key, _entry in fresh.entries)
+                worker.known.update(fresh.keys())
                 worker_stats.append(cache_stats)
                 if events:
                     worker_events.extend(events)

@@ -12,15 +12,17 @@ A process-mode :class:`~repro.parallel.batch.BatchOptimizer` starts one
 worker process per stripe on its first ``run()`` and keeps them until
 ``close()``.  Each runs :func:`serve`: it builds exactly one
 :class:`WorkerState` — the rebuilt rule set plus a warm
-:class:`WorkerCache` — for its whole lifetime (:func:`init_worker`),
-then answers chunk requests on its pipe with :func:`optimize_chunk`
-until the parent says stop.
+:class:`~repro.volcano.plancache.PlanCache` — for its whole lifetime
+(:func:`init_worker`), then answers chunk requests on its pipe with
+:func:`optimize_chunk` until the parent says stop.
 
 Cache traffic is a delta in both directions.  A chunk carries only the
 parent cache entries this worker does not hold yet (the parent tracks,
-per worker, the keys it shipped and received), and the reply carries
-only the entries the worker stored while running that chunk, which the
-parent merges.  A chunk flagged ``reset`` (the parent's cache was
+per worker, the keys it shipped and received).  The reply carries only
+the entries under keys the worker did not hold once that delta was
+merged — every key it held, the parent shipped to it or got back from
+it — and the parent merges them.  A chunk flagged ``reset`` (the
+parent's cache was
 :meth:`~repro.volcano.plancache.PlanCache.invalidate`\\ d since this
 worker's last chunk) first clears the worker's cache.
 
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.tracer import WorkerTracer
-from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, MemoSummary, PlanCache
+from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, PlanCache
 from repro.volcano.search import SearchOptions, VolcanoOptimizer
 
 #: How often (seconds) an idle worker checks that its parent still
@@ -76,35 +78,13 @@ def resolve_factory(spec: str, args: tuple = ()) -> Any:
     return obj
 
 
-class WorkerCache(PlanCache):
-    """A worker's plan cache.
-
-    Notes the portable part of every key stored into it, so a chunk's
-    reply can carry just the entries that chunk produced.  Stores a
-    :class:`~repro.volcano.plancache.MemoSummary` in place of the full
-    memo: worker entries only answer worker-side hits (which read the
-    memo's two counts) and cross to the parent as summaries anyway, so
-    in a long-lived worker a full memo would only hold memory.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        super().__init__(max_entries)
-        self.stored: "set[tuple]" = set()
-
-    def store(self, key, plan, cost, memo, catalog, emit=None):
-        self.stored.add(key[1:])
-        return super().store(
-            key, plan, cost, MemoSummary.of(memo), catalog, emit
-        )
-
-
 @dataclass
 class WorkerState:
     """Per-process state: the rebuilt rule set and the warm cache."""
 
     ruleset: Any
     options: SearchOptions
-    cache: WorkerCache
+    cache: PlanCache
     tag: str
 
 
@@ -118,7 +98,7 @@ def init_worker(
     return WorkerState(
         ruleset=resolve_factory(spec, factory_args),
         options=options,
-        cache=WorkerCache(cache_max_entries),
+        cache=PlanCache(cache_max_entries),
         tag=spec,
     )
 
@@ -133,10 +113,12 @@ def optimize_chunk(state: WorkerState, payload: tuple) -> tuple:
     cache first, and ``trace_epoch`` the batch's trace epoch (``None``
     when untraced).  Returns ``(results, fresh, cache_stats, events)``:
     ``results`` a list of ``(index, plan, cost, stats)`` in chunk
-    order, ``fresh`` a snapshot of the entries stored during this
-    chunk, ``cache_stats`` the cache's :meth:`~PlanCache.stats` with
-    every counter in :data:`CHUNK_COUNTERS` counted over this chunk
-    only, and ``events`` the chunk's drained trace events (or ``None``).
+    order, ``fresh`` a snapshot of the entries under keys the worker
+    did not hold once ``delta`` was merged (the ones this chunk's
+    searches stored), ``cache_stats`` the cache's
+    :meth:`~PlanCache.stats` with every counter in
+    :data:`CHUNK_COUNTERS` counted over this chunk only, and ``events``
+    the chunk's drained trace events (or ``None``).
 
     A fresh :class:`VolcanoOptimizer` is built per item (they are cheap;
     catalogs differ per item), all sharing the worker's plan cache — the
@@ -154,8 +136,8 @@ def optimize_chunk(state: WorkerState, payload: tuple) -> tuple:
     if reset:
         cache.invalidate()
     before = cache.stats()
-    cache.stored.clear()
     cache.merge_snapshot(delta, state.ruleset, emit=emit)
+    held = cache.snapshot(state.ruleset, state.tag).keys()
     results = []
     for index, label, tree, catalog, required in items:
         optimizer = VolcanoOptimizer(
@@ -171,10 +153,7 @@ def optimize_chunk(state: WorkerState, payload: tuple) -> tuple:
         else:
             result = optimizer.optimize(tree, required)
         results.append((index, result.plan, result.cost, result.stats))
-    fresh = cache.snapshot(state.ruleset, state.tag, emit=emit)
-    fresh.entries = [
-        (key, entry) for key, entry in fresh.entries if key[1:] in cache.stored
-    ]
+    fresh = cache.snapshot(state.ruleset, state.tag, held, emit=emit)
     cache_stats = cache.stats()
     for name in CHUNK_COUNTERS:
         cache_stats[name] -= before[name]

@@ -20,8 +20,9 @@ This package reimplements the relevant Volcano machinery in Python:
   branch-and-bound pruning.
 * :mod:`repro.volcano.plancache` — the cross-query plan cache: finished
   optimizations keyed by canonical tree fingerprint, required vector,
-  rule set, and catalog version, so a reused optimizer answers repeated
-  queries without searching.
+  rule set and search options, valid while the catalog's state token is
+  unchanged, so a reused optimizer answers repeated queries without
+  searching.
 """
 
 from repro.volcano.properties import (

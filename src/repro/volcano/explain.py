@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.algebra.expressions import Expression, StoredFileRef
 from repro.algebra.properties import DONT_CARE
+from repro.volcano.plancache import MemoSummary
 from repro.volcano.search import OptimizationResult
 
 _DETAIL_PROPS = (
@@ -92,13 +93,23 @@ def explain(result: OptimizationResult, verbose: bool = False) -> str:
 
 
 def explain_memo(result: OptimizationResult, limit: "int | None" = 40) -> str:
-    """Dump the memo's equivalence classes (truncated to ``limit``)."""
+    """Dump the memo's equivalence classes (truncated to ``limit``).
+
+    A plan-cache hit carries only a :class:`MemoSummary`; that prints as
+    one line with the memo's counts.
+    """
+    memo = result.memo
+    if isinstance(memo, MemoSummary):
+        return (
+            f"memo not retained (plan-cache hit): {memo.group_count} "
+            f"equivalence classes, {memo.mexpr_count} m-exprs"
+        )
     lines = []
-    groups = result.memo.groups if limit is None else result.memo.groups[:limit]
+    groups = memo.groups if limit is None else memo.groups[:limit]
     for group in groups:
         members = "; ".join(str(m) for m in group.mexprs)
         lines.append(f"g{group.gid} ({len(group.mexprs)} alt): {members}")
-    hidden = result.memo.group_count - len(groups)
+    hidden = memo.group_count - len(groups)
     if hidden > 0:
         lines.append(f"... ({hidden} more equivalence classes)")
     return "\n".join(lines)

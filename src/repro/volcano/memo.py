@@ -262,8 +262,9 @@ class Memo:
 
         ``_emit`` may be a bound tracer method and the descriptor
         interner is shared engine state; neither belongs to the memo's
-        value.  Cached plans (and their memos) cross process boundaries
-        in the batch optimizer, so memos must stay picklable.
+        value, so a pickled memo leaves them out.  The batch optimizer
+        itself ships no memos: plan-cache entries keep only a
+        :class:`~repro.volcano.plancache.MemoSummary`.
         """
         state = self.__dict__.copy()
         state["_emit"] = None

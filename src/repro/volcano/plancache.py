@@ -21,16 +21,21 @@ coincide:
 * the **rule set** (by object identity: a different rule set searches a
   different plan space);
 * the **search options** (heuristics change which plan is found);
-* the **catalog and its version** — entries record the catalog object
-  and its :attr:`~repro.catalog.schema.Catalog.version` at store time;
-  any catalog mutation bumps the version and silently invalidates every
-  plan computed against the old state.  Entries additionally carry the
-  catalog's structural :meth:`~repro.catalog.schema.Catalog.state_token`
-  so entries that crossed a process boundary (where object identity is
-  lost) stay usable against a structurally identical catalog.
+* the **catalog state** — entries record the catalog's structural
+  :meth:`~repro.catalog.schema.Catalog.state_token` at store time and
+  are valid exactly while the probing catalog's token equals it, so any
+  catalog mutation silently invalidates every plan computed against the
+  old state, and an entry stays usable in another process against a
+  structurally identical catalog.
+
+Entries hold no process-local object: the plan, its cost, a
+:class:`MemoSummary` of the memo that found it, and the catalog token.
+They are portable as stored — :meth:`PlanCache.snapshot` only rekeys
+them — so a hit behaves the same whichever process stored the entry.
 
 Hits return a *fresh deep copy* of the cached plan (callers may annotate
-or execute plans destructively) together with the cached cost and memo.
+or execute plans destructively) together with the cached cost and the
+memo summary; only a cold search returns its full memo.
 Hit/miss counters are surfaced per-optimization through
 :class:`~repro.volcano.search.SearchStats` and cumulatively through
 :meth:`PlanCache.stats`.
@@ -92,19 +97,15 @@ def copy_plan(plan: PlanTree) -> PlanTree:
 
 @dataclass
 class MemoSummary:
-    """A lightweight stand-in for a cached entry's full memo.
+    """What a plan-cache entry keeps of the memo that found its plan.
 
-    Plan-cache entries that cross process boundaries (snapshots merged
-    by the batch optimizer) drop their memos — a memo is an order of
-    magnitude bigger than the plan it produced — but cache hits still
-    report search-effort statistics.  The summary answers the two
-    counters the engine reads (:attr:`group_count` / :attr:`mexpr_count`)
-    and iterates as empty for tools that walk groups.
+    A memo is an order of magnitude bigger than the plan it produced,
+    so entries keep only its two counters, which cache hits report as
+    search-effort statistics (:attr:`group_count` / :attr:`mexpr_count`).
     """
 
     group_count: int
     mexpr_count: int
-    groups: tuple = ()
 
     def stats(self) -> dict[str, int]:
         return {"groups": self.group_count, "mexprs": self.mexpr_count}
@@ -116,39 +117,24 @@ class MemoSummary:
 
 @dataclass
 class CachedPlan:
-    """One plan-cache entry: the finished result plus validity metadata.
+    """One plan-cache entry: the finished result plus its catalog token.
 
-    Validity is checked two ways, cheapest first: same catalog *object*
-    at the same version (the single-process fast path), else — when the
-    entry carries a ``catalog_token`` — structural equality of
-    :meth:`~repro.catalog.schema.Catalog.state_token`.  The token path
-    is what lets entries survive IPC: a worker's catalog unpickles into
-    a new object, but its token still equals the parent's.  A token hit
-    rebinds the entry to the probing catalog so later lookups take the
-    identity fast path again.
+    Valid exactly when the probing catalog's
+    :meth:`~repro.catalog.schema.Catalog.state_token` equals
+    ``catalog_token`` — by identity first (a catalog returns the same
+    token object until it changes), else by value, which is what lets
+    an entry stored in one process validate against a catalog that was
+    pickled into another.
     """
 
     plan: PlanTree
     cost: float
-    memo: Any  # repro.volcano.memo.Memo / MemoSummary (no import cycle)
-    catalog: "Catalog | None"
-    catalog_version: int
-    catalog_token: "tuple | None" = None
+    memo: MemoSummary
+    catalog_token: tuple
 
     def is_valid(self, catalog: Catalog) -> bool:
-        if (
-            self.catalog is catalog
-            and self.catalog_version == catalog.version
-        ):
-            return True
-        if self.catalog_token is None:
-            return False
-        token = getattr(catalog, "state_token", None)
-        if token is None or self.catalog_token != token():
-            return False
-        self.catalog = catalog
-        self.catalog_version = catalog.version
-        return True
+        token = catalog.state_token()
+        return token is self.catalog_token or token == self.catalog_token
 
 
 @dataclass
@@ -158,8 +144,7 @@ class CacheSnapshot:
     Produced by :meth:`PlanCache.snapshot`, consumed by
     :meth:`PlanCache.merge_snapshot`.  ``entries`` holds
     ``(portable_key, CachedPlan)`` pairs whose keys carry the
-    ``ruleset_tag`` string in place of the process-local ``id(ruleset)``
-    and whose entries validate by catalog token only.
+    ``ruleset_tag`` string in place of the process-local ``id(ruleset)``.
     """
 
     ruleset_tag: str
@@ -167,6 +152,10 @@ class CacheSnapshot:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def keys(self) -> "set[tuple]":
+        """The portable keys of :attr:`entries`."""
+        return {key for key, _entry in self.entries}
 
 
 class PlanCache:
@@ -273,14 +262,11 @@ class PlanCache:
         ``plan_cache_store`` event (plus one ``plan_cache_evict`` per
         displaced entry) is emitted.
         """
-        token_fn = getattr(catalog, "state_token", None)
         entry = CachedPlan(
             plan=copy_plan(plan),
             cost=cost,
-            memo=memo,
-            catalog=catalog,
-            catalog_version=catalog.version,
-            catalog_token=token_fn() if token_fn is not None else None,
+            memo=MemoSummary.of(memo),
+            catalog_token=catalog.state_token(),
         )
         with self._lock:
             self._entries[key] = entry
@@ -300,7 +286,7 @@ class PlanCache:
         self,
         ruleset: Any,
         ruleset_tag: str,
-        include_memos: bool = False,
+        held: "set[tuple] | frozenset[tuple]" = frozenset(),
         emit=None,
     ) -> CacheSnapshot:
         """Export this cache's entries for ``ruleset`` in portable form.
@@ -309,12 +295,10 @@ class PlanCache:
         another process (workers rebuild rule sets from a factory spec).
         The snapshot substitutes ``ruleset_tag`` — any string both sides
         agree names the rule set, conventionally the worker factory spec
-        (``"module:attr"``).  Entries are exported with their catalog
-        *token* instead of the catalog object (tokens survive pickling;
-        object identity does not) and, unless ``include_memos``, with
-        their memo reduced to a :class:`MemoSummary`.  Entries whose
-        catalog provides no token are skipped — they cannot prove
-        validity across a process boundary.
+        (``"module:attr"``).  Entries are exported as stored.  ``held``
+        names portable keys the receiver already holds; those entries
+        are left out, so two caches that track each other's keys
+        exchange only deltas.
 
         ``emit`` is an optional resolved trace hook: when given, the
         export is bracketed by a ``plan_cache.snapshot`` span so batch
@@ -325,30 +309,13 @@ class PlanCache:
             span_started = time.perf_counter()
         with self._lock:
             items = list(self._entries.items())
+        local = id(ruleset)
         exported = []
         for key, entry in items:
-            if key[0] != id(ruleset):
-                continue
-            if entry.catalog_token is None:
-                continue
-            portable_key = (ruleset_tag,) + key[1:]
-            exported.append(
-                (
-                    portable_key,
-                    CachedPlan(
-                        plan=entry.plan,
-                        cost=entry.cost,
-                        memo=(
-                            entry.memo
-                            if include_memos
-                            else MemoSummary.of(entry.memo)
-                        ),
-                        catalog=None,
-                        catalog_version=-1,
-                        catalog_token=entry.catalog_token,
-                    ),
-                )
-            )
+            if key[0] == local:
+                portable_key = (ruleset_tag,) + key[1:]
+                if portable_key not in held:
+                    exported.append((portable_key, entry))
         result = CacheSnapshot(ruleset_tag=ruleset_tag, entries=exported)
         if emit is not None:
             emit(
@@ -366,9 +333,8 @@ class PlanCache:
 
         Portable keys are rebound to ``id(ruleset)`` (the caller asserts
         the snapshot's tag names this rule set).  Entries already
-        present locally win — the local entry's validity bookkeeping is
-        warmer — and adopted entries enter at the MRU end, evicting LRU
-        past the bound as a normal store would.
+        present locally win, and adopted entries enter at the MRU end,
+        evicting LRU past the bound as a normal store would.
 
         ``emit``, when given, brackets the merge in a
         ``plan_cache.merge`` span (see :meth:`snapshot`).
@@ -404,9 +370,9 @@ class PlanCache:
         """Drop every entry (e.g. after bulk catalog/statistics changes);
         returns how many were dropped.
 
-        Per-catalog invalidation is automatic via catalog versions; this
-        explicit hook exists for callers that mutate cost-relevant state
-        the version counter cannot see (statistics refresh, helper
+        Per-catalog invalidation is automatic via catalog state tokens;
+        this explicit hook exists for callers that mutate cost-relevant
+        state the token cannot see (statistics refresh, helper
         reconfiguration).
         """
         with self._lock:

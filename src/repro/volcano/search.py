@@ -45,7 +45,7 @@ from repro.prairie.actions import ActionEnv, LazyFreshDescriptors
 from repro.volcano.memo import Group, Memo, MExpr
 from repro.volcano.model import Enforcer, ImplRule, TransRule, VolcanoRuleSet
 from repro.volcano.patterns import MatchBinding, match_mexpr
-from repro.volcano.plancache import PlanCache, copy_plan
+from repro.volcano.plancache import MemoSummary, PlanCache, copy_plan
 from repro.volcano.properties import (
     PropertyVector,
     apply_vector,
@@ -247,7 +247,8 @@ class OptimizationResult:
     plan: Union[Expression, StoredFileRef]
     cost: float
     stats: SearchStats
-    memo: Memo
+    #: The search's memo, or on a plan-cache hit the entry's summary.
+    memo: "Memo | MemoSummary"
 
     @property
     def equivalence_classes(self) -> int:

@@ -379,6 +379,25 @@ class TestLongLivedWorkers:
         assert sum(s["hits"] for s in stats) == len(items)
         assert sum(s["entries"] for s in stats) == 2 * len(items)
 
+    def test_delta_sync_traffic_is_pinned(self):
+        """Three identical runs: the first ships each worker's stores
+        back, the second fills each worker with the other stripe's
+        entries, and the third ships nothing in either direction."""
+        items = make_items(self.ITEMS)
+        traffic = []
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2
+        ) as optimizer:
+            for _ in range(3):
+                report = optimizer.run(items)
+                traffic.append(
+                    (
+                        report.merged_entries,
+                        [s["merged_in"] for s in report.worker_cache_stats],
+                    )
+                )
+        assert traffic == [(3, [0, 0]), (0, [1, 2]), (0, [0, 0])]
+
     def test_parent_invalidate_clears_worker_caches(self):
         items = make_items(self.ITEMS)
         reports = {}

@@ -1,7 +1,7 @@
 """Tests for the cross-query plan cache and its engine integration.
 
 Covers the :class:`~repro.volcano.plancache.PlanCache` unit behaviour
-(hit/miss counting, LRU eviction, explicit and catalog-version
+(hit/miss counting, LRU eviction, explicit and catalog-token
 invalidation), the fingerprint keying, the optimizer's hit/miss
 statistics, and the memo's cross-group insertion guard the engine's
 duplicate elimination relies on.
@@ -17,6 +17,7 @@ from repro.errors import SearchError
 from repro.volcano.memo import Memo, MExpr
 from repro.volcano.plancache import (
     CachedPlan,
+    MemoSummary,
     PlanCache,
     copy_plan,
     tree_fingerprint,
@@ -47,15 +48,21 @@ def file_plan(name="R1"):
     return StoredFileRef(name, d(num_records=10.0))
 
 
+# An empty memo: the cache keeps only its summary.
+MEMO = Memo(ARGS)
+
+
 class FakeCatalog:
-    """Just enough of the Catalog surface for cache unit tests."""
+    """Just enough of the Catalog surface for cache unit tests: a state
+    token of its own (unequal to any other object's) that changes when
+    the catalog is mutated."""
 
     def __init__(self):
+        self._identity = object()
         self._version = 0
 
-    @property
-    def version(self):
-        return self._version
+    def state_token(self):
+        return (self._identity, self._version)
 
     def mutate(self):
         self._version += 1
@@ -93,7 +100,7 @@ class TestPlanCacheUnit:
         cache = PlanCache()
         catalog = FakeCatalog()
         assert cache.lookup(("k",), catalog) is None
-        cache.store(("k",), file_plan(), 7.5, memo=None, catalog=catalog)
+        cache.store(("k",), file_plan(), 7.5, memo=MEMO, catalog=catalog)
         entry = cache.lookup(("k",), catalog)
         assert isinstance(entry, CachedPlan)
         assert entry.cost == 7.5
@@ -105,14 +112,14 @@ class TestPlanCacheUnit:
         cache = PlanCache()
         catalog = FakeCatalog()
         plan = file_plan()
-        entry = cache.store(("k",), plan, 1.0, memo=None, catalog=catalog)
+        entry = cache.store(("k",), plan, 1.0, memo=MEMO, catalog=catalog)
         assert entry.plan is not plan
 
     def test_lru_eviction_bound(self):
         cache = PlanCache(max_entries=2)
         catalog = FakeCatalog()
         for name in ("a", "b", "c"):
-            cache.store((name,), file_plan(), 1.0, memo=None, catalog=catalog)
+            cache.store((name,), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         assert len(cache) == 2
         assert cache.evictions == 1
         assert ("a",) not in cache  # oldest evicted
@@ -121,17 +128,17 @@ class TestPlanCacheUnit:
     def test_lookup_refreshes_lru_order(self):
         cache = PlanCache(max_entries=2)
         catalog = FakeCatalog()
-        cache.store(("a",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("b",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("a",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
+        cache.store(("b",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         cache.lookup(("a",), catalog)  # "a" becomes most recent
-        cache.store(("c",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("c",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         assert ("a",) in cache
         assert ("b",) not in cache
 
     def test_catalog_version_invalidates(self):
         cache = PlanCache()
         catalog = FakeCatalog()
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("k",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         catalog.mutate()
         assert cache.lookup(("k",), catalog) is None
         assert cache.invalidations == 1
@@ -140,15 +147,15 @@ class TestPlanCacheUnit:
 
     def test_different_catalog_object_invalidates(self):
         cache = PlanCache()
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=FakeCatalog())
+        cache.store(("k",), file_plan(), 1.0, memo=MEMO, catalog=FakeCatalog())
         assert cache.lookup(("k",), FakeCatalog()) is None
         assert cache.invalidations == 1
 
     def test_explicit_invalidate_drops_everything(self):
         cache = PlanCache()
         catalog = FakeCatalog()
-        cache.store(("a",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("b",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("a",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
+        cache.store(("b",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         assert cache.invalidate() == 2
         assert len(cache) == 0
         assert cache.lookup(("a",), catalog) is None
@@ -160,7 +167,7 @@ class TestPlanCacheUnit:
     def test_stats_counters(self):
         cache = PlanCache(max_entries=4)
         catalog = FakeCatalog()
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("k",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         cache.lookup(("k",), catalog)
         cache.lookup(("missing",), catalog)
         stats = cache.stats()
@@ -337,8 +344,8 @@ class TestOptimizerIntegration:
         def emit(etype, **data):
             events.append((etype, data))
 
-        cache.store(("a",), file_plan(), 1.0, memo=None, catalog=catalog, emit=emit)
-        cache.store(("b",), file_plan(), 2.0, memo=None, catalog=catalog, emit=emit)
+        cache.store(("a",), file_plan(), 1.0, memo=MEMO, catalog=catalog, emit=emit)
+        cache.store(("b",), file_plan(), 2.0, memo=MEMO, catalog=catalog, emit=emit)
         types = [etype for etype, _ in events]
         assert types == ["plan_cache_store", "plan_cache_store", "plan_cache_evict"]
         evict = events[-1][1]
@@ -474,18 +481,18 @@ class TestLRUEvictionOrder:
         cache = PlanCache(max_entries=3)
         catalog = FakeCatalog()
         for name in ("a", "b", "c"):
-            cache.store((name,), file_plan(), 1.0, memo=None, catalog=catalog)
+            cache.store((name,), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         # Recency (coldest first): a, b, c.  Touch a then b.
         cache.lookup(("a",), catalog)   # -> b, c, a
         cache.lookup(("b",), catalog)   # -> c, a, b
-        cache.store(("d",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("d",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         # d evicts the coldest, c               -> a, b, d
         assert ("c",) not in cache
         assert all(key in cache for key in (("a",), ("b",), ("d",)))
         # Re-storing an existing key refreshes it without eviction.
-        cache.store(("a",), file_plan(), 2.0, memo=None, catalog=catalog)
+        cache.store(("a",), file_plan(), 2.0, memo=MEMO, catalog=catalog)
         assert len(cache) == 3          # -> b, d, a
-        cache.store(("e",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("e",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         # e evicts the coldest, b              -> d, a, e
         assert ("b",) not in cache
         assert all(key in cache for key in (("d",), ("a",), ("e",)))
@@ -493,10 +500,10 @@ class TestLRUEvictionOrder:
     def test_eviction_order_deterministic_sequence(self):
         cache = PlanCache(max_entries=2)
         catalog = FakeCatalog()
-        cache.store(("x",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("y",), file_plan(), 1.0, memo=None, catalog=catalog)
-        cache.store(("x",), file_plan(), 3.0, memo=None, catalog=catalog)
-        cache.store(("z",), file_plan(), 1.0, memo=None, catalog=catalog)
+        cache.store(("x",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
+        cache.store(("y",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
+        cache.store(("x",), file_plan(), 3.0, memo=MEMO, catalog=catalog)
+        cache.store(("z",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
         # x was refreshed by its second store, so y was evicted.
         assert ("y",) not in cache
         assert ("x",) in cache and ("z",) in cache
@@ -521,7 +528,7 @@ class TestThreadSafety:
                     entry = cache.lookup(key, catalog)
                     if entry is None:
                         cache.store(
-                            key, file_plan(), float(i), memo=None,
+                            key, file_plan(), float(i), memo=MEMO,
                             catalog=catalog,
                         )
             except Exception as exc:  # pragma: no cover - failure path
@@ -573,9 +580,6 @@ class TestSnapshotMerge:
         entry = fresh.lookup(key, catalog)
         assert entry is not None, "merged entry must validate by token"
         assert entry.cost == result.cost
-        # Token hit rebinds to the probing catalog: second lookup takes
-        # the identity fast path.
-        assert entry.catalog is catalog
 
     def test_merged_entry_drives_cache_hit_in_engine(
         self, oodb_volcano_generated
@@ -602,14 +606,27 @@ class TestSnapshotMerge:
         assert warm.stats.plan_cache_hits == 1
         assert warm.cost == result.cost
 
-    def test_snapshot_skips_other_rulesets_and_tokenless_entries(
-        self, oodb_volcano_generated
-    ):
+    def test_snapshot_skips_other_rulesets(self, oodb_volcano_generated):
         cache = PlanCache()
-        # A tokenless (FakeCatalog) entry and a foreign-ruleset entry.
-        cache.store(("k",), file_plan(), 1.0, memo=None, catalog=FakeCatalog())
+        # ("k",) does not start with id(oodb_volcano_generated).
+        cache.store(("k",), file_plan(), 1.0, memo=MEMO, catalog=FakeCatalog())
         snap = cache.snapshot(oodb_volcano_generated, "tests:oodb")
         assert len(snap) == 0
+
+    def test_snapshot_leaves_out_held_keys(self, oodb_volcano_generated):
+        cache = PlanCache()
+        self._store_real_entry(cache, oodb_volcano_generated)
+        self._store_real_entry(
+            cache, oodb_volcano_generated, SearchOptions(max_groups=500)
+        )
+        full = cache.snapshot(oodb_volcano_generated, "tests:oodb")
+        assert len(full) == 2
+        held = {full.entries[0][0]}
+        delta = cache.snapshot(oodb_volcano_generated, "tests:oodb", held)
+        assert delta.entries == full.entries[1:]
+        assert not cache.snapshot(
+            oodb_volcano_generated, "tests:oodb", full.keys()
+        ).entries
 
     def test_merge_prefers_local_entries(self, oodb_volcano_generated):
         cache = PlanCache()
@@ -635,10 +652,93 @@ class TestSnapshotMerge:
 
         cache = PlanCache(max_entries=7)
         cache.store(
-            ("k",), file_plan(), 2.5, memo=None, catalog=small_catalog()
+            ("k",), file_plan(), 2.5, memo=MEMO, catalog=small_catalog()
         )
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.max_entries == 7
         assert len(clone) == 1
         # The lock is rebuilt, not copied.
         clone.invalidate()
+
+
+# ---------------------------------------------------------------------------
+# Hits carry a memo summary, whichever process stored the entry
+# ---------------------------------------------------------------------------
+
+
+class TestHitsCarrySummaries:
+    FACTORY = "repro.bench.harness:generated_ruleset"
+
+    def _instance(self, qid="Q5", n_joins=1):
+        from repro.bench.harness import build_optimizer_pair
+
+        pair = build_optimizer_pair("oodb")
+        catalog, tree = make_query_instance(pair.schema, qid, n_joins, 0)
+        return pair.generated, catalog, tree
+
+    def _hit(self, ruleset, cache, qid="Q5", n_joins=1):
+        _, catalog, tree = self._instance(qid, n_joins)
+        result = VolcanoOptimizer(ruleset, catalog, plan_cache=cache).optimize(
+            tree
+        )
+        assert result.stats.plan_cache_hits == 1
+        return result
+
+    def _assert_summary(self, hit, cold_stats):
+        assert isinstance(hit.memo, MemoSummary)
+        assert hit.memo.group_count == cold_stats.groups
+        assert hit.memo.mexpr_count == cold_stats.mexprs
+
+    def _merged_from_pickle(self):
+        import pickle
+
+        ruleset, catalog, tree = self._instance()
+        source = PlanCache()
+        cold = VolcanoOptimizer(ruleset, catalog, plan_cache=source).optimize(
+            tree
+        )
+        target = PlanCache()
+        target.merge_snapshot(
+            pickle.loads(pickle.dumps(source.snapshot(ruleset, "tests:oodb"))),
+            ruleset,
+        )
+        return ruleset, target, cold
+
+    def test_local_entry(self):
+        ruleset, catalog, tree = self._instance()
+        cache = PlanCache()
+        optimizer = VolcanoOptimizer(ruleset, catalog, plan_cache=cache)
+        cold = optimizer.optimize(tree)
+        assert isinstance(cold.memo, Memo)  # a miss returns the full memo
+        self._assert_summary(self._hit(ruleset, cache), cold.stats)
+
+    def test_entry_merged_from_pickled_snapshot(self):
+        ruleset, cache, cold = self._merged_from_pickle()
+        self._assert_summary(self._hit(ruleset, cache), cold.stats)
+
+    def test_entry_stored_by_process_worker(self):
+        from repro.parallel import BatchItem, BatchOptimizer
+
+        _, catalog, tree = self._instance()
+        with BatchOptimizer(
+            self.FACTORY, ("oodb",), mode="process", workers=1
+        ) as batch:
+            report = batch.run([BatchItem(tree=tree, catalog=catalog)])
+        assert report.merged_entries == 1
+        cold_stats = report.results[0].stats
+        assert cold_stats.plan_cache_misses == 1
+        self._assert_summary(self._hit(batch.ruleset, batch.cache), cold_stats)
+
+    def test_explain_memo_on_a_hit_says_memo_not_retained(self):
+        from repro.volcano.explain import explain_memo
+
+        ruleset, cache, cold = self._merged_from_pickle()
+        expected = (
+            f"memo not retained (plan-cache hit): {cold.stats.groups} "
+            f"equivalence classes, {cold.stats.mexprs} m-exprs"
+        )
+        assert explain_memo(self._hit(ruleset, cache)) == expected
+        ruleset, catalog, tree = self._instance()
+        local = PlanCache()
+        VolcanoOptimizer(ruleset, catalog, plan_cache=local).optimize(tree)
+        assert explain_memo(self._hit(ruleset, local)) == expected
