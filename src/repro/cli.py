@@ -31,6 +31,8 @@ from repro.errors import PrairieError
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.parallel import MODES
+
     parser = argparse.ArgumentParser(
         prog="prairie-opt",
         description="Prairie rule-specification framework (ICDE 1995 reproduction)",
@@ -170,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--mode",
-        choices=("process", "thread", "serial"),
+        choices=MODES,
         default="process",
         help="fan-out mode (default: process)",
     )
@@ -336,8 +338,9 @@ def _cmd_optimize(args, out) -> int:
 
         tracer = CollectingTracer()
     if args.engine == "bottomup":
-        optimizer = BottomUpOptimizer(ruleset, catalog, tracer=tracer)
-        optimizer.options = options
+        optimizer = BottomUpOptimizer(
+            ruleset, catalog, options=options, tracer=tracer
+        )
     else:
         optimizer = VolcanoOptimizer(
             ruleset, catalog, options=options, tracer=tracer

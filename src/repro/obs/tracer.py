@@ -159,9 +159,8 @@ NULL_TRACER = NullTracer()
 class CollectingTracer(Tracer):
     """Buffers every event in memory (``tracer.events``).
 
-    Thread-safe: a lock guards the buffer, so the batch optimizer's
-    thread mode can emit from many worker threads into one tracer
-    without interleaving corruption.
+    Thread-safe: a lock guards the buffer, so concurrent emitters can
+    share one tracer without interleaving corruption.
     """
 
     def __init__(self) -> None:
@@ -212,8 +211,8 @@ class CountingTracer(Tracer):
     Constant memory regardless of search size — the tracer the overhead
     benchmark drives, and a quick way to answer "how many times did X
     happen" without buffering a whole trace.  Increments are locked:
-    ``dict.get`` + store is not atomic, so concurrent emitters (batch
-    thread mode) would otherwise lose counts.
+    ``dict.get`` + store is not atomic, so concurrent emitters would
+    otherwise lose counts.
     """
 
     def __init__(self) -> None:
@@ -242,8 +241,8 @@ class WorkerTracer(CollectingTracer):
     start: every worker measures against it, so event timestamps from
     different processes land on one shared timeline (``perf_counter``
     is the system-wide monotonic clock).  The active span id is
-    thread-local, so thread-mode batches tagging from several threads
-    don't cross-tag each other's queries.
+    thread-local, so concurrent emitters on several threads don't
+    cross-tag each other's queries.
     """
 
     def __init__(

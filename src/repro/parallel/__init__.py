@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`~repro.parallel.batch.BatchOptimizer` — optimize a batch of
-  queries in ``serial`` / ``thread`` / ``process`` mode with a
-  persistent, mergeable plan cache;
+  queries in ``serial`` or ``process`` mode with a persistent,
+  mergeable plan cache;
 * :class:`~repro.parallel.batch.BatchItem` /
   :class:`~repro.parallel.batch.BatchItemResult` /
   :class:`~repro.parallel.batch.BatchReport` — the batch data model;

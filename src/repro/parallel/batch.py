@@ -3,16 +3,12 @@
 The ROADMAP's north star is optimizer *throughput* — a service
 optimizing many queries, not one.  :class:`BatchOptimizer` takes a batch
 of :class:`BatchItem` (tree + catalog + required properties) and
-optimizes them in one of three modes:
+optimizes them in one of two modes:
 
-* ``"serial"`` — one by one in the calling thread.  The baseline every
-  other mode must match bit-for-bit, and the determinism oracle the
-  property tests compare against.
-* ``"thread"`` — a ``ThreadPoolExecutor`` sharing one (thread-safe)
-  :class:`~repro.volcano.plancache.PlanCache`.  Python's GIL caps the
-  speed-up for this CPU-bound search, but the mode exercises the exact
-  concurrency surface (shared cache, per-item optimizers) with cheap
-  failure modes, so it is the determinism-under-concurrency test bed.
+* ``"serial"`` — one by one in the calling process, on the parent's
+  :class:`~repro.volcano.plancache.PlanCache`.  The baseline process
+  mode must match bit-for-bit, and the determinism oracle the property
+  tests compare against.
 * ``"process"`` — long-lived worker processes, one per stripe, started
   on the first ``run()`` and kept until :meth:`BatchOptimizer.close`
   (or until the optimizer is garbage-collected).  Stripe *i* always
@@ -28,10 +24,13 @@ optimizes them in one of three modes:
   that died is replaced on the next ``run()``; an exception raised in a
   worker re-raises from ``run()`` with its own type.
 
-Whatever the mode or worker count, results are **bit-identical** to
-serial optimization: the search is deterministic, plan-cache hits
-return copies of deterministically-found plans, and results are
-reassembled in input order.
+Both modes optimize items with the same loop,
+:func:`~repro.parallel.worker.optimize_items`, so results are
+**bit-identical** whatever the mode or worker count: the search is
+deterministic, plan-cache hits return copies of deterministically-found
+plans, and results are reassembled in input order.  Each call of that
+loop also reports its cache counters, so
+:attr:`BatchReport.worker_cache_stats` counts per run in both modes.
 
 Batches can run **traced** (``BatchOptimizer(..., trace=True)``): the
 parent and every worker run :class:`~repro.obs.tracer.WorkerTracer`
@@ -52,25 +51,19 @@ import pickle
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.obs.tracer import WorkerTracer
 from repro.volcano.plancache import DEFAULT_MAX_ENTRIES, PlanCache
-from repro.volcano.search import (
-    NO_HEURISTICS,
-    SearchOptions,
-    SearchStats,
-    VolcanoOptimizer,
-)
+from repro.volcano.search import NO_HEURISTICS, SearchOptions, SearchStats
 
-from repro.parallel.worker import resolve_factory, serve
+from repro.parallel.worker import optimize_items, resolve_factory, serve
 
 #: Seconds a stopping worker gets to exit before it is terminated.
 STOP_TIMEOUT_S = 5.0
 
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 
 
 @dataclass
@@ -192,14 +185,14 @@ class BatchOptimizer:
     factory_spec:
         ``"module:attr"`` rule-set factory (see
         :func:`repro.parallel.worker.resolve_factory`).  The parent
-        resolves it eagerly — serial and thread modes use the rule set
-        in-process — and process workers re-resolve it on their side.
+        resolves it eagerly — serial mode uses the rule set in-process —
+        and process workers re-resolve it on their side.
     factory_args:
         Arguments for a callable factory (e.g. ``("oodb",)``).
     mode:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        ``"serial"`` or ``"process"``.
     workers:
-        Worker count for thread/process modes (default: CPU count).
+        Worker count for process mode (default: CPU count).
     options / cache_max_entries:
         Search options and plan-cache bound shared by every worker.
     trace:
@@ -261,25 +254,40 @@ class BatchOptimizer:
                 workers=self.workers,
                 queries=len(items),
             )
-        if not items:
-            report = BatchReport(
-                results=[],
-                stats=SearchStats(),
-                mode=self.mode,
-                workers=self.workers,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+        work = [
+            (index, item.label, item.tree, item.catalog, item.required)
+            for index, item in enumerate(items)
+        ]
+        merged, worker_events = 0, None
+        if not work:
+            chunks = []
         elif self.mode == "process":
-            report = self._run_process(items, tracer)
-        elif self.mode == "thread":
-            report = self._run_thread(items, tracer)
+            chunks, merged, worker_events = self._run_process(work, tracer)
         else:
-            report = self._run_serial(items, tracer)
-        report.elapsed_seconds = time.perf_counter() - started
+            chunks = [
+                optimize_items(
+                    self.ruleset, self.options, self.cache, work, tracer
+                )
+            ]
+        results = [
+            BatchItemResult(index, items[index].label, plan, cost, stats)
+            for chunk_results, _cache_stats in chunks
+            for index, plan, cost, stats in chunk_results
+        ]
+        results.sort(key=lambda r: r.index)
         merged_stats = SearchStats()
-        for item_result in report.results:
+        for item_result in results:
             merged_stats.merge(item_result.stats)
-        report.stats = merged_stats
+        report = BatchReport(
+            results=results,
+            stats=merged_stats,
+            mode=self.mode,
+            workers=self.workers,
+            elapsed_seconds=time.perf_counter() - started,
+            merged_entries=merged,
+            worker_cache_stats=[cache_stats for _, cache_stats in chunks],
+            trace=worker_events,
+        )
         if tracer is not None:
             tracer.emit(
                 "batch_end",
@@ -294,60 +302,18 @@ class BatchOptimizer:
             report.trace = events
         return report
 
-    # -- modes -------------------------------------------------------------
+    # -- process mode ------------------------------------------------------
 
-    def _optimize_one(
-        self, item: BatchItem, index: int, tracer: "WorkerTracer | None"
-    ) -> BatchItemResult:
-        optimizer = VolcanoOptimizer(
-            self.ruleset,
-            item.catalog,
-            options=self.options,
-            plan_cache=self.cache,
-            tracer=tracer,
-        )
-        if tracer is not None:
-            with tracer.query_span(item.label, index=index):
-                result = optimizer.optimize(item.tree, item.required)
-        else:
-            result = optimizer.optimize(item.tree, item.required)
-        return BatchItemResult(
-            index=index,
-            label=item.label,
-            plan=result.plan,
-            cost=result.cost,
-            stats=result.stats,
-        )
+    def _run_process(self, work: list, tracer=None) -> tuple:
+        """Run ``work`` striped over the process workers.
 
-    def _run_serial(
-        self, items: "Sequence[BatchItem]", tracer=None
-    ) -> BatchReport:
-        results = [
-            self._optimize_one(item, index, tracer)
-            for index, item in enumerate(items)
-        ]
-        return self._report(results, [self.cache.stats()])
-
-    def _run_thread(
-        self, items: "Sequence[BatchItem]", tracer=None
-    ) -> BatchReport:
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(self._optimize_one, item, index, tracer)
-                for index, item in enumerate(items)
-            ]
-            results = [future.result() for future in futures]
-        results.sort(key=lambda r: r.index)
-        return self._report(results, [self.cache.stats()])
-
-    def _run_process(
-        self, items: "Sequence[BatchItem]", tracer=None
-    ) -> BatchReport:
-        payload_items = [
-            (index, item.label, item.tree, item.catalog, item.required)
-            for index, item in enumerate(items)
-        ]
-        chunks = _chunk(payload_items, self.workers)
+        Returns ``(chunks, merged, events)``: one ``(results,
+        cache_stats)`` pair per worker that ran a chunk (as
+        :func:`~repro.parallel.worker.optimize_items` returns it), the
+        number of worker-stored entries merged into the parent cache,
+        and the workers' trace events (``None`` when untraced).
+        """
+        stripes = _chunk(work, self.workers)
         emit = tracer.emit if tracer is not None else None
         epoch = tracer.epoch if tracer is not None else None
         with self._lock:
@@ -357,18 +323,18 @@ class BatchOptimizer:
             parent_keys = self.cache.snapshot(
                 self.ruleset, self.factory_spec
             ).keys()
-            workers = self._live_workers()[: len(chunks)]
+            workers = self._live_workers()[: len(stripes)]
             # Pickle every payload before sending any, so an item that
             # does not pickle fails the run with no worker mid-chunk.
             payloads = []
-            for worker, chunk in zip(workers, chunks):
+            for worker, stripe in zip(workers, stripes):
                 reset = worker.clears != clears
                 if reset:
                     worker.known = set()
                 delta = self.cache.snapshot(
                     self.ruleset, self.factory_spec, worker.known, emit=emit
                 )
-                payloads.append(pickle.dumps((chunk, delta, reset, epoch)))
+                payloads.append(pickle.dumps((stripe, delta, reset, epoch)))
             try:
                 replies, failure = self._exchange(workers, payloads)
             except BaseException:
@@ -378,9 +344,8 @@ class BatchOptimizer:
                     worker.process.terminate()
                 _stop_workers(self._workers)
                 raise
-            results: "list[BatchItemResult]" = []
+            chunks = []
             merged = 0
-            worker_stats = []
             worker_events: "list[dict]" = []
             for worker, reply in replies:
                 # The delta filled exactly the gap, so the worker holds
@@ -390,22 +355,12 @@ class BatchOptimizer:
                 worker.clears = clears
                 if reply is None:
                     continue  # the chunk raised; the failure re-raises below
-                chunk_results, fresh, cache_stats, events = reply
-                for index, plan, cost, stats in chunk_results:
-                    results.append(
-                        BatchItemResult(
-                            index=index,
-                            label=items[index].label,
-                            plan=plan,
-                            cost=cost,
-                            stats=stats,
-                        )
-                    )
+                results, cache_stats, fresh, events = reply
+                chunks.append((results, cache_stats))
                 merged += self.cache.merge_snapshot(
                     fresh, self.ruleset, emit=emit
                 )
                 worker.known.update(fresh.keys())
-                worker_stats.append(cache_stats)
                 if events:
                     worker_events.extend(events)
         if failure is not None:
@@ -413,12 +368,7 @@ class BatchOptimizer:
             if text:
                 raise error from RemoteTraceback(text)
             raise error
-        results.sort(key=lambda r: r.index)
-        report = self._report(results, worker_stats)
-        report.merged_entries = merged
-        if worker_events:
-            report.trace = worker_events
-        return report
+        return chunks, merged, worker_events or None
 
     def _exchange(self, workers, payloads) -> tuple:
         """Send each worker its payload, then read every reply.
@@ -506,13 +456,3 @@ class BatchOptimizer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _report(self, results, worker_stats) -> BatchReport:
-        return BatchReport(
-            results=results,
-            stats=SearchStats(),
-            mode=self.mode,
-            workers=self.workers,
-            elapsed_seconds=0.0,
-            worker_cache_stats=worker_stats,
-        )

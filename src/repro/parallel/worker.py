@@ -14,7 +14,9 @@ worker process per stripe on its first ``run()`` and keeps them until
 :class:`WorkerState` — the rebuilt rule set plus a warm
 :class:`~repro.volcano.plancache.PlanCache` — for its whole lifetime
 (:func:`init_worker`), then answers chunk requests on its pipe with
-:func:`optimize_chunk` until the parent says stop.
+:func:`optimize_chunk` until the parent says stop.  A chunk's items go
+through :func:`optimize_items`, the same per-item loop a serial batch
+runs in the parent process.
 
 Cache traffic is a delta in both directions.  A chunk carries only the
 parent cache entries this worker does not hold yet (the parent tracks,
@@ -53,7 +55,8 @@ from repro.volcano.search import SearchOptions, VolcanoOptimizer
 #: lives; an orphaned worker exits instead of waiting forever.
 PARENT_CHECK_S = 1.0
 
-#: ``PlanCache.stats()`` counters reported per chunk rather than
+#: ``PlanCache.stats()`` counters reported per call of
+#: :func:`optimize_items` — per chunk, or per serial run — rather than
 #: cumulatively (``entries`` stays the current size).
 CHUNK_COUNTERS = ("hits", "misses", "invalidations", "evictions", "merged_in")
 
@@ -103,29 +106,69 @@ def init_worker(
     )
 
 
+def optimize_items(
+    ruleset: Any,
+    options: SearchOptions,
+    cache: PlanCache,
+    items: list,
+    tracer: "WorkerTracer | None" = None,
+) -> tuple:
+    """Optimize batch items one by one against ``cache``.
+
+    The one per-item loop of both batch modes: serial mode runs it
+    in-process on the parent cache, and a process worker runs it on its
+    own cache for each chunk (:func:`optimize_chunk`).  ``items`` is a
+    list of ``(index, label, tree, catalog, required)`` tuples.  Returns
+    ``(results, cache_stats)``: ``results`` a list of ``(index, plan,
+    cost, stats)`` in item order, and ``cache_stats`` the cache's
+    :meth:`~PlanCache.stats` with every counter in
+    :data:`CHUNK_COUNTERS` counted over this call only.
+
+    A fresh :class:`VolcanoOptimizer` is built per item (they are cheap;
+    catalogs differ per item), all sharing ``cache``.  When tracing,
+    each item's search runs inside a
+    :meth:`~repro.obs.tracer.WorkerTracer.query_span`, so every
+    optimized query shows as one labelled span in the merged timeline.
+    """
+    before = cache.stats()
+    results = []
+    for index, label, tree, catalog, required in items:
+        optimizer = VolcanoOptimizer(
+            ruleset, catalog, options=options, plan_cache=cache, tracer=tracer
+        )
+        if tracer is not None:
+            with tracer.query_span(label, index=index):
+                result = optimizer.optimize(tree, required)
+        else:
+            result = optimizer.optimize(tree, required)
+        results.append((index, result.plan, result.cost, result.stats))
+    return results, _counted_since(cache, before)
+
+
+def _counted_since(cache: PlanCache, before: dict) -> dict:
+    """``cache.stats()`` with the :data:`CHUNK_COUNTERS` counted since
+    the ``before`` reading."""
+    stats = cache.stats()
+    for name in CHUNK_COUNTERS:
+        stats[name] -= before[name]
+    return stats
+
+
 def optimize_chunk(state: WorkerState, payload: tuple) -> tuple:
     """Optimize one chunk of batch items in the worker owning ``state``.
 
-    ``payload`` is ``(items, delta, reset, trace_epoch)``: ``items`` a
-    list of ``(index, label, tree, catalog, required)`` tuples,
-    ``delta`` a :class:`~repro.volcano.plancache.CacheSnapshot` of the
-    parent entries this worker lacks, ``reset`` whether to clear the
-    cache first, and ``trace_epoch`` the batch's trace epoch (``None``
-    when untraced).  Returns ``(results, fresh, cache_stats, events)``:
-    ``results`` a list of ``(index, plan, cost, stats)`` in chunk
-    order, ``fresh`` a snapshot of the entries under keys the worker
-    did not hold once ``delta`` was merged (the ones this chunk's
-    searches stored), ``cache_stats`` the cache's
-    :meth:`~PlanCache.stats` with every counter in
-    :data:`CHUNK_COUNTERS` counted over this chunk only, and ``events``
-    the chunk's drained trace events (or ``None``).
-
-    A fresh :class:`VolcanoOptimizer` is built per item (they are cheap;
-    catalogs differ per item), all sharing the worker's plan cache — the
-    same structure serial mode uses, which is what makes results
-    bit-identical across modes.  When tracing, each item's search runs
-    inside a :meth:`~repro.obs.tracer.WorkerTracer.query_span`, so every
-    optimized query shows as one labelled span in the merged timeline.
+    ``payload`` is ``(items, delta, reset, trace_epoch)``: ``items`` as
+    :func:`optimize_items` takes them, ``delta`` a
+    :class:`~repro.volcano.plancache.CacheSnapshot` of the parent
+    entries this worker lacks, ``reset`` whether to clear the cache
+    first, and ``trace_epoch`` the batch's trace epoch (``None`` when
+    untraced).  Returns ``(results, cache_stats, fresh, events)``:
+    ``results`` and ``cache_stats`` as :func:`optimize_items` returns
+    them, with the delta merge counted in ``cache_stats`` too,
+    ``fresh`` a snapshot of the entries under keys the worker did not
+    hold once ``delta`` was merged (the ones this chunk's searches
+    stored), and ``events`` the chunk's drained trace events (or
+    ``None``).
     """
     items, delta, reset, trace_epoch = payload
     cache = state.cache
@@ -137,28 +180,16 @@ def optimize_chunk(state: WorkerState, payload: tuple) -> tuple:
         cache.invalidate()
     before = cache.stats()
     cache.merge_snapshot(delta, state.ruleset, emit=emit)
+    synced = _counted_since(cache, before)
     held = cache.snapshot(state.ruleset, state.tag).keys()
-    results = []
-    for index, label, tree, catalog, required in items:
-        optimizer = VolcanoOptimizer(
-            state.ruleset,
-            catalog,
-            options=state.options,
-            plan_cache=cache,
-            tracer=tracer,
-        )
-        if tracer is not None:
-            with tracer.query_span(label, index=index):
-                result = optimizer.optimize(tree, required)
-        else:
-            result = optimizer.optimize(tree, required)
-        results.append((index, result.plan, result.cost, result.stats))
-    fresh = cache.snapshot(state.ruleset, state.tag, held, emit=emit)
-    cache_stats = cache.stats()
+    results, cache_stats = optimize_items(
+        state.ruleset, state.options, cache, items, tracer
+    )
     for name in CHUNK_COUNTERS:
-        cache_stats[name] -= before[name]
+        cache_stats[name] += synced[name]
+    fresh = cache.snapshot(state.ruleset, state.tag, held, emit=emit)
     events = tracer.drain() if tracer is not None else None
-    return results, fresh, cache_stats, events
+    return results, cache_stats, fresh, events
 
 
 def _error_reply(exc: BaseException) -> bytes:

@@ -31,75 +31,45 @@ discusses.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.algebra.expressions import Expression, StoredFileRef
 from repro.algebra.properties import DONT_CARE
 from repro.catalog.predicates import equality_pairs
-from repro.errors import NoPlanFoundError, SearchError
 from repro.volcano.memo import Memo
 from repro.volcano.properties import PropertyVector, dont_care_vector
-from repro.volcano.search import (
-    OptimizationResult,
-    SearchStats,
-    VolcanoOptimizer,
-    _SearchState,
-    _pv_text,
-)
+from repro.volcano.search import VolcanoOptimizer, Winner, _SearchState
 
 
 class BottomUpOptimizer(VolcanoOptimizer):
     """System R-style engine: full exploration + bottom-up DP.
 
-    Drop-in replacement for :class:`VolcanoOptimizer`; only the search
-    *schedule* differs.  ``interesting_orders=False`` restricts the
-    eager pass to the trivial requirement (a pure cost-only DP, which
-    can miss sort-ahead opportunities only when the final request is
-    non-trivial; the root request is always computed correctly on top).
+    Drop-in replacement for :class:`VolcanoOptimizer`: only the search
+    *schedule* (:meth:`_search`) differs, and the request path around
+    it — validation, plan cache, statistics, trace events — is the
+    top-down engine's.  ``interesting_orders=False`` restricts the eager
+    pass to the trivial requirement (a pure cost-only DP, which can miss
+    sort-ahead opportunities only when the final request is non-trivial;
+    the root request is always computed correctly on top).
     """
 
     def __init__(
         self,
         ruleset,
         catalog,
-        interesting_orders: bool = True,
+        options=None,
+        plan_cache=None,
         tracer=None,
+        interesting_orders: bool = True,
     ) -> None:
-        super().__init__(ruleset, catalog, tracer=tracer)
+        super().__init__(
+            ruleset, catalog, options=options, plan_cache=plan_cache,
+            tracer=tracer,
+        )
         self.use_interesting_orders = interesting_orders
 
-    def optimize(
-        self,
-        tree: "Expression | StoredFileRef",
-        required: "PropertyVector | None" = None,
-    ) -> OptimizationResult:
-        import time
-
-        started = time.perf_counter()
+    def _search(
+        self, state: _SearchState, root_gid: int, required: PropertyVector
+    ) -> "Winner | None":
+        memo = state.memo
         phys = self.ruleset.physical_properties
-        if required is None:
-            required = dont_care_vector(phys)
-        if len(required) != len(phys):
-            raise SearchError(
-                f"required vector has {len(required)} entries, rule set has "
-                f"{len(phys)} physical properties"
-            )
-        memo = Memo(self.ruleset.argument_properties)
-        stats = SearchStats()
-        state = self._make_state(memo, stats)
-        emit = state.emit
-        if emit is not None:
-            root_op = (
-                tree.name if isinstance(tree, StoredFileRef) else tree.op.name
-            )
-            emit(
-                "optimize_begin",
-                engine=type(self).__name__,
-                ruleset=self.ruleset.name,
-                root_op=root_op,
-                required=_pv_text(required),
-            )
-        root = memo.from_expression(tree)
 
         # Phase 1: exhaustive exploration (the growing-list loop also
         # covers groups created *during* exploration).
@@ -129,28 +99,7 @@ class BottomUpOptimizer(VolcanoOptimizer):
 
         # Phase 4: the actual request (a cache hit unless the root
         # requirement is not an interesting order).
-        winner = self._optimize_group(state, root.gid, required)
-        stats.groups = memo.group_count
-        stats.mexprs = memo.mexpr_count
-        stats.elapsed_seconds = time.perf_counter() - started
-        if winner is None:
-            if emit is not None:
-                emit("optimize_failed", root_gid=root.gid)
-            raise NoPlanFoundError(
-                f"no access plan delivers the requested properties for {tree}"
-            )
-        if emit is not None:
-            emit(
-                "optimize_end",
-                root_gid=root.gid,
-                required=_pv_text(required),
-                cost=winner.cost,
-                groups=stats.groups,
-                mexprs=stats.mexprs,
-                elapsed_s=stats.elapsed_seconds,
-                from_cache=False,
-            )
-        return OptimizationResult(winner.plan, winner.cost, stats, memo)
+        return self._optimize_group(state, root_gid, required)
 
     # -- helpers -------------------------------------------------------------
 

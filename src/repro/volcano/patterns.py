@@ -3,9 +3,10 @@
 A trans_rule's LHS is a pattern tree (:mod:`repro.algebra.patterns`); it
 may be nested (``JOIN(JOIN(?1,?2),?3)``), in which case matching an inner
 pattern node requires enumerating the m-exprs of the corresponding input
-*group*.  The matcher therefore takes an ``expand`` callback supplied by
-the search engine: given a group id, return the m-exprs to consider
-(after the engine has applied whatever exploration policy it wants).
+*group*.  The matcher therefore takes an ``expand_op`` callback supplied
+by the search engine: given a group id and an operator name, return the
+group's m-exprs with that root operator (after the engine has applied
+whatever exploration policy it wants).
 
 A successful match yields a :class:`MatchBinding`:
 
@@ -38,13 +39,9 @@ class MatchBinding:
         return clone
 
 
-ExpandFn = Callable[[int], "list[MExpr]"]
-
-# Optional operator-filtered expansion: (group id, operator name) → the
-# group's members with that root operator, in insertion order.  The search
-# engine always supplies it, so nested matching skips the scan over
-# members whose root cannot match; the plain ``expand`` callback remains
-# the semantic contract (and the only one tests must provide).
+# Operator-filtered expansion: (group id, operator name) → the group's
+# members with that root operator, in insertion order, so nested matching
+# never scans members whose root cannot match.
 ExpandOpFn = Callable[[int, str], "list[MExpr]"]
 
 
@@ -52,8 +49,7 @@ def match_mexpr(
     pattern: PatternNode,
     mexpr: MExpr,
     memo: Memo,
-    expand: ExpandFn,
-    expand_op: "ExpandOpFn | None" = None,
+    expand_op: ExpandOpFn,
 ) -> Iterator[MatchBinding]:
     """All bindings of ``pattern`` against ``mexpr`` (possibly several).
 
@@ -69,7 +65,7 @@ def match_mexpr(
     root.groups = {}
     root.descriptors = {pattern.descriptor: mexpr.descriptor}
     yield from _match_children(
-        pattern.inputs, mexpr.inputs, 0, root, memo, expand, expand_op
+        pattern.inputs, mexpr.inputs, 0, root, memo, expand_op
     )
 
 
@@ -79,8 +75,7 @@ def _match_children(
     index: int,
     binding: MatchBinding,
     memo: Memo,
-    expand: ExpandFn,
-    expand_op: "ExpandOpFn | None",
+    expand_op: ExpandOpFn,
 ) -> Iterator[MatchBinding]:
     if index == len(patterns):
         yield binding
@@ -104,22 +99,17 @@ def _match_children(
         else:
             extended.descriptors = binding.descriptors
         yield from _match_children(
-            patterns, group_ids, index + 1, extended, memo, expand, expand_op
+            patterns, group_ids, index + 1, extended, memo, expand_op
         )
         return
-    # Nested pattern node: try every m-expr of the input group (only the
-    # plausibly matching ones when the engine indexes members by root).
-    if expand_op is not None:
-        candidates = expand_op(gid, pattern.op_name)
-    else:
-        candidates = expand(gid)
-    for child in candidates:
+    # Nested pattern node: try the input group's m-exprs whose root
+    # operator fits.
+    for child in expand_op(gid, pattern.op_name):
         for child_binding in _nested_match(
-            pattern, child, binding, memo, expand, expand_op
+            pattern, child, binding, memo, expand_op
         ):
             yield from _match_children(
-                patterns, group_ids, index + 1, child_binding, memo, expand,
-                expand_op,
+                patterns, group_ids, index + 1, child_binding, memo, expand_op
             )
 
 
@@ -128,8 +118,7 @@ def _nested_match(
     mexpr: MExpr,
     binding: MatchBinding,
     memo: Memo,
-    expand: ExpandFn,
-    expand_op: "ExpandOpFn | None",
+    expand_op: ExpandOpFn,
 ) -> Iterator[MatchBinding]:
     if mexpr.is_file or mexpr.op_name != pattern.op_name:
         return
@@ -141,17 +130,6 @@ def _nested_match(
     descriptors[pattern.descriptor] = mexpr.descriptor
     extended.descriptors = descriptors
     yield from _match_children(
-        pattern.inputs, mexpr.inputs, 0, extended, memo, expand, expand_op
+        pattern.inputs, mexpr.inputs, 0, extended, memo, expand_op
     )
 
-
-def pattern_could_match(pattern: PatternNode, mexpr: MExpr) -> bool:
-    """Cheap top-level test: does the root operator fit?
-
-    Used for the Table 5 "rules matched" statistic before full matching.
-    """
-    return (
-        not mexpr.is_file
-        and mexpr.op_name == pattern.op_name
-        and len(pattern.inputs) == len(mexpr.inputs)
-    )

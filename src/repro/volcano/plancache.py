@@ -161,11 +161,10 @@ class CacheSnapshot:
 class PlanCache:
     """A bounded LRU cache of finished optimizations.
 
-    Thread-safe: a reentrant lock guards every lookup/store/evict, so
-    one cache may back the batch optimizer's thread mode (many
-    optimizer instances, one shared cache) without external
-    coordination.  The optimizers themselves are still single-threaded
-    objects — only the cache is shared.
+    Safe for concurrent callers: a reentrant lock guards every
+    lookup/store/evict, so many optimizer instances may share one cache
+    without external coordination.  The optimizers themselves are still
+    single-threaded objects — only the cache is shared.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
@@ -221,29 +220,40 @@ class PlanCache:
 
         Entries stored against a mutated or different catalog are
         discarded on sight and count as misses.  ``emit`` is an optional
-        trace hook (``tracer.emit``): a ``plan_cache_hit`` or
-        ``plan_cache_miss`` event is emitted per lookup, the miss
+        resolved trace hook (``tracer.emit``): when given, the probe is
+        bracketed by a ``plan_cache.probe`` span enclosing one
+        ``plan_cache_hit`` or ``plan_cache_miss`` event, the miss
         carrying why (``"absent"`` or ``"stale"``).
         """
+        if emit is not None:
+            emit("span_begin", name="plan_cache.probe")
+            span_started = time.perf_counter()
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                if emit is not None:
-                    emit("plan_cache_miss", reason="absent")
-                return None
-            if not entry.is_valid(catalog):
+                reason = "absent"
+            elif not entry.is_valid(catalog):
                 del self._entries[key]
                 self.invalidations += 1
                 self.misses += 1
-                if emit is not None:
-                    emit("plan_cache_miss", reason="stale")
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            if emit is not None:
+                reason = "stale"
+                entry = None
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+        if emit is not None:
+            if entry is None:
+                emit("plan_cache_miss", reason=reason)
+            else:
                 emit("plan_cache_hit", cost=entry.cost)
-            return entry
+            emit(
+                "span_end",
+                name="plan_cache.probe",
+                elapsed_s=time.perf_counter() - span_started,
+                hit=entry is not None,
+            )
+        return entry
 
     def store(
         self,
@@ -258,10 +268,13 @@ class PlanCache:
 
         The plan is copied on the way in, so later caller-side mutation
         of the returned plan cannot corrupt the cache.  ``emit`` is the
-        same optional trace hook :meth:`lookup` takes; a
-        ``plan_cache_store`` event (plus one ``plan_cache_evict`` per
-        displaced entry) is emitted.
+        same optional trace hook :meth:`lookup` takes: when given, a
+        ``plan_cache.insert`` span encloses a ``plan_cache_store`` event
+        plus one ``plan_cache_evict`` per displaced entry.
         """
+        if emit is not None:
+            emit("span_begin", name="plan_cache.insert")
+            span_started = time.perf_counter()
         entry = CachedPlan(
             plan=copy_plan(plan),
             cost=cost,
@@ -278,6 +291,12 @@ class PlanCache:
                 self.evictions += 1
                 if emit is not None:
                     emit("plan_cache_evict", entries=len(self._entries))
+        if emit is not None:
+            emit(
+                "span_end",
+                name="plan_cache.insert",
+                elapsed_s=time.perf_counter() - span_started,
+            )
         return entry
 
     # -- snapshot / merge (the batch optimizer's IPC surface) -----------------

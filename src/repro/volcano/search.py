@@ -31,13 +31,13 @@ time of two rule sets executed by the same engine (Figures 10–13).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Union
 
 from repro.algebra.descriptors import Descriptor
 from repro.algebra.expressions import Expression, StoredFileRef
 from repro.algebra.interning import DescriptorInterner
-from repro.algebra.patterns import PatternElem, PatternNode, PatternVar
+from repro.algebra.patterns import PatternElem, PatternVar
 from repro.algebra.properties import DONT_CARE
 from repro.catalog.schema import Catalog
 from repro.errors import NoPlanFoundError, SearchError
@@ -166,28 +166,16 @@ class SearchStats:
     elapsed_seconds: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "groups": self.groups,
-            "mexprs": self.mexprs,
-            "trans_rules_matched": len(self.trans_matched),
-            "impl_rules_matched": len(self.impl_matched),
-            "trans_rules_applicable": len(self.trans_applicable),
-            "impl_rules_applicable": len(self.impl_applicable),
-            "trans_fired": self.trans_fired,
-            "trans_considered": self.trans_considered,
-            "impl_considered": self.impl_considered,
-            "impl_succeeded": self.impl_succeeded,
-            "enforcer_applied": self.enforcer_applied,
-            "optimize_calls": self.optimize_calls,
-            "winners_cached": self.winners_cached,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "descriptors_shared": self.descriptors_shared,
-            "descriptors_unique": self.descriptors_unique,
-            "descriptor_values_shared": self.descriptor_values_shared,
-            "memo_descriptor_objects": self.memo_descriptor_objects,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        """Every counter by name; a rule-name set reports its size under
+        its ``*_rules_*`` key (``trans_matched`` → ``trans_rules_matched``)."""
+        out: dict[str, Any] = {}
+        for name in _STATS_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, set):
+                out[name.replace("_", "_rules_", 1)] = len(value)
+            else:
+                out[name] = value
+        return out
 
     def merge(self, other: "SearchStats") -> None:
         """Fold another optimization's counters into this one.
@@ -198,26 +186,15 @@ class SearchStats:
         ``groups``/``mexprs`` add too (total memo work across the
         batch), matching how a throughput report reads them.
         """
-        self.groups += other.groups
-        self.mexprs += other.mexprs
-        self.trans_matched |= other.trans_matched
-        self.impl_matched |= other.impl_matched
-        self.trans_applicable |= other.trans_applicable
-        self.impl_applicable |= other.impl_applicable
-        self.trans_fired += other.trans_fired
-        self.trans_considered += other.trans_considered
-        self.impl_considered += other.impl_considered
-        self.impl_succeeded += other.impl_succeeded
-        self.enforcer_applied += other.enforcer_applied
-        self.optimize_calls += other.optimize_calls
-        self.winners_cached += other.winners_cached
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.descriptors_shared += other.descriptors_shared
-        self.descriptors_unique += other.descriptors_unique
-        self.descriptor_values_shared += other.descriptor_values_shared
-        self.memo_descriptor_objects += other.memo_descriptor_objects
-        self.elapsed_seconds += other.elapsed_seconds
+        for name in _STATS_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, set):
+                value |= getattr(other, name)
+            else:
+                setattr(self, name, value + getattr(other, name))
+
+
+_STATS_FIELDS = tuple(f.name for f in fields(SearchStats))
 
 
 @dataclass(slots=True)
@@ -332,23 +309,11 @@ class VolcanoOptimizer:
                 required=_pv_text(required),
             )
         cache = self.plan_cache
-        cache_key: "tuple | None" = None
         if cache is not None:
             cache_key = PlanCache.key_for(
                 self.ruleset, self.options, tree, required
             )
-            if emit is not None:
-                emit("span_begin", name="plan_cache.probe")
-                probe_started = time.perf_counter()
-                entry = cache.lookup(cache_key, self.catalog, emit)
-                emit(
-                    "span_end",
-                    name="plan_cache.probe",
-                    elapsed_s=time.perf_counter() - probe_started,
-                    hit=entry is not None,
-                )
-            else:
-                entry = cache.lookup(cache_key, self.catalog, emit)
+            entry = cache.lookup(cache_key, self.catalog, emit)
             if entry is not None:
                 stats = SearchStats()
                 stats.plan_cache_hits = 1
@@ -376,9 +341,10 @@ class VolcanoOptimizer:
         stats = SearchStats()
         if cache is not None:
             stats.plan_cache_misses = 1
-        state = self._make_state(memo, stats)
+        state = _SearchState(memo, stats, emit)
+        memo._emit = emit
         root = memo.from_expression(tree)
-        winner = self._optimize_group(state, root.gid, required)
+        winner = self._search(state, root.gid, required)
         stats.groups = memo.group_count
         stats.mexprs = memo.mexpr_count
         stats.descriptors_shared = memo.descriptors_shared
@@ -400,21 +366,9 @@ class VolcanoOptimizer:
                 f"{tree}"
             )
         if cache is not None:
-            if emit is not None:
-                emit("span_begin", name="plan_cache.insert")
-                insert_started = time.perf_counter()
-                cache.store(
-                    cache_key, winner.plan, winner.cost, memo, self.catalog, emit
-                )
-                emit(
-                    "span_end",
-                    name="plan_cache.insert",
-                    elapsed_s=time.perf_counter() - insert_started,
-                )
-            else:
-                cache.store(
-                    cache_key, winner.plan, winner.cost, memo, self.catalog, emit
-                )
+            cache.store(
+                cache_key, winner.plan, winner.cost, memo, self.catalog, emit
+            )
         if emit is not None:
             emit(
                 "optimize_end",
@@ -427,6 +381,18 @@ class VolcanoOptimizer:
                 from_cache=False,
             )
         return OptimizationResult(winner.plan, winner.cost, stats, memo)
+
+    def _search(
+        self, state: "_SearchState", root_gid: int, required: PropertyVector
+    ) -> "Winner | None":
+        """The search schedule: the root request's winner, or None.
+
+        Top-down answers the root request on demand; an engine with
+        another schedule (:mod:`repro.volcano.bottomup`) overrides this
+        hook and inherits the rest of the request path — validation,
+        plan cache, statistics and trace events.
+        """
+        return self._optimize_group(state, root_gid, required)
 
     # -- tracing plumbing --------------------------------------------------------
 
@@ -441,11 +407,6 @@ class VolcanoOptimizer:
         if tracer is not None and tracer.enabled:
             return tracer.emit
         return None
-
-    def _make_state(self, memo: Memo, stats: SearchStats) -> "_SearchState":
-        state = _SearchState(memo, stats, emit=self._emit_hook())
-        memo._emit = state.emit
-        return state
 
     # -- exploration (trans_rules to fixpoint) ----------------------------------
 
@@ -503,7 +464,6 @@ class VolcanoOptimizer:
         self, state: "_SearchState", rule: TransRule, mexpr: MExpr, gid: int
     ) -> None:
         memo = state.memo
-        expand = lambda child_gid: self._explore(state, child_gid)  # noqa: E731
 
         # Nested pattern nodes enumerate only the input group's members
         # with the right root operator (the group's by_op index), instead
@@ -517,7 +477,7 @@ class VolcanoOptimizer:
         if emit is not None:
             emit("trans_attempt", rule=rule.name, gid=gid)
         matched = False
-        for binding in match_mexpr(rule.lhs, mexpr, memo, expand, expand_op):
+        for binding in match_mexpr(rule.lhs, mexpr, memo, expand_op):
             matched = True
             state.stats.trans_considered += 1
             env = self._trans_env(rule, binding)

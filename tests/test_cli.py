@@ -163,6 +163,27 @@ class TestOptimize:
         assert code == 0
         assert "total estimated cost" in text
 
+    def test_bottomup_engine_takes_options_at_construction(self, monkeypatch):
+        from repro.volcano.bottomup import BottomUpOptimizer
+
+        built = []
+        construct = BottomUpOptimizer.__init__
+
+        def spy(self, *args, **kwargs):
+            construct(self, *args, **kwargs)
+            built.append(self.options)
+
+        monkeypatch.setattr(BottomUpOptimizer, "__init__", spy)
+        code, text = run(
+            ["optimize", "--query", "Q1", "--joins", "1", "--quiet",
+             "--engine", "bottomup", "--disable-rule", "join_commute"]
+        )
+        assert code == 0
+        assert [options.disabled_rules for options in built] == [
+            frozenset({"join_commute"})
+        ]
+        assert "total estimated cost: 98.32" in text
+
     def test_heuristics_flags(self):
         code, text = run(
             ["optimize", "--query", "Q5", "--joins", "2", "--quiet",
@@ -235,6 +256,12 @@ class TestBatch:
         assert code == 0
         assert "2 queries" in text
         assert "parent cache:" in text
+
+    def test_thread_mode_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["batch", "--queries", "Q1", "--mode", "thread"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_batch_trace_chrome(self, tmp_path):
         import json

@@ -1,8 +1,8 @@
 """Tests for the parallel batch optimizer (:mod:`repro.parallel`).
 
 The core guarantee under test: **bit-identical results** — same plans
-(EXPLAIN text), same costs — across serial, thread, and process modes
-and any worker count.  Plus the cache plumbing: warm parent caches seed
+(EXPLAIN text), same costs — across serial and process modes and any
+worker count.  Plus the cache plumbing: warm parent caches seed
 workers, worker snapshots merge back, and the metrics bridge reports
 batch throughput.
 """
@@ -95,7 +95,6 @@ class TestModesAgree:
                 FACTORY, ("oodb",), mode=mode, workers=2
             )
             signatures[mode] = signature(optimizer.run(items))
-        assert signatures["serial"] == signatures["thread"]
         assert signatures["serial"] == signatures["process"]
 
     def test_worker_count_does_not_change_results(self):
@@ -104,12 +103,10 @@ class TestModesAgree:
             BatchOptimizer(FACTORY, ("oodb",), mode="serial").run(items)
         )
         for workers in (1, 3):
-            got = signature(
-                BatchOptimizer(
-                    FACTORY, ("oodb",), mode="thread", workers=workers
-                ).run(items)
-            )
-            assert got == baseline
+            with BatchOptimizer(
+                FACTORY, ("oodb",), mode="process", workers=workers
+            ) as optimizer:
+                assert signature(optimizer.run(items)) == baseline
 
     @settings(
         max_examples=8,
@@ -120,21 +117,22 @@ class TestModesAgree:
         picks=st.lists(st.sampled_from(POOL), min_size=1, max_size=5),
         workers=st.integers(min_value=1, max_value=4),
     )
-    def test_property_thread_mode_matches_serial(self, picks, workers):
+    def test_property_process_mode_matches_serial(self, picks, workers):
         """Any batch composition (duplicates included), any worker
-        count: thread mode reproduces serial bit-for-bit."""
+        count: process mode reproduces serial bit-for-bit."""
         items = make_items(picks)
         serial = BatchOptimizer(FACTORY, ("oodb",), mode="serial")
-        threaded = BatchOptimizer(
-            FACTORY, ("oodb",), mode="thread", workers=workers
-        )
-        assert signature(serial.run(items)) == signature(threaded.run(items))
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=workers
+        ) as parallel:
+            assert signature(serial.run(items)) == signature(parallel.run(items))
 
     def test_results_come_back_in_input_order(self):
         items = make_items([("Q5", 2), ("Q1", 2), ("Q3", 2)])
-        report = BatchOptimizer(
-            FACTORY, ("oodb",), mode="thread", workers=3
-        ).run(items)
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=3
+        ) as optimizer:
+            report = optimizer.run(items)
         assert [r.label for r in report.results] == [
             "Q5/2", "Q1/2", "Q3/2",
         ]
@@ -235,20 +233,20 @@ class TestBatchTracing:
         assert meta_pids == event_pids
         assert len(event_pids) >= 2
 
-    def test_thread_trace_shares_one_timeline(self):
+    def test_process_trace_query_spans_are_unique_per_worker(self):
         items = make_items(POOL[:4])
-        report = BatchOptimizer(
-            FACTORY, ("oodb",), mode="thread", workers=2, trace=True
-        ).run(items)
-        trace = report.trace
+        with BatchOptimizer(
+            FACTORY, ("oodb",), mode="process", workers=2, trace=True
+        ) as optimizer:
+            trace = optimizer.run(items).trace
         assert trace is not None
         begins = [
             e for e in trace
             if e["type"] == "span_begin" and e.get("name") == "optimize_query"
         ]
         assert len(begins) == len(items)
-        # per-query span ids are unique even across threads
-        ids = [e["span"] for e in begins]
+        # a (worker, span) pair names exactly one query
+        ids = [(e["worker"], e["span"]) for e in begins]
         assert len(set(ids)) == len(ids)
 
 
@@ -288,6 +286,27 @@ class TestCachePlumbing:
         warm = optimizer.run(items)
         assert signature(cold) == signature(warm)
         assert warm.stats.plan_cache_hits >= 1
+
+    def test_worker_cache_stats_are_per_run_in_every_mode(self):
+        """Serial mode reports its cache counters per run, as process
+        workers report theirs per chunk."""
+        items = make_items([("Q1", 1), ("Q3", 1), ("Q5", 1)])
+        counts = {}
+        for mode in MODES:
+            with BatchOptimizer(
+                FACTORY, ("oodb",), mode=mode, workers=2
+            ) as optimizer:
+                counts[mode] = [
+                    [
+                        (s["hits"], s["misses"])
+                        for s in optimizer.run(items).worker_cache_stats
+                    ]
+                    for _ in range(3)
+                ]
+        assert counts["serial"] == [[(0, 3)], [(3, 0)], [(3, 0)]]
+        assert counts["process"] == [
+            [(0, 2), (0, 1)], [(2, 0), (1, 0)], [(2, 0), (1, 0)],
+        ]
 
     def test_batch_stats_aggregate(self):
         items = make_items(POOL[:3])

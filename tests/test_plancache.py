@@ -347,9 +347,34 @@ class TestOptimizerIntegration:
         cache.store(("a",), file_plan(), 1.0, memo=MEMO, catalog=catalog, emit=emit)
         cache.store(("b",), file_plan(), 2.0, memo=MEMO, catalog=catalog, emit=emit)
         types = [etype for etype, _ in events]
-        assert types == ["plan_cache_store", "plan_cache_store", "plan_cache_evict"]
-        evict = events[-1][1]
+        assert types == [
+            "span_begin", "plan_cache_store", "span_end",
+            "span_begin", "plan_cache_store", "plan_cache_evict", "span_end",
+        ]
+        spans = [data["name"] for etype, data in events if etype.startswith("span")]
+        assert set(spans) == {"plan_cache.insert"}
+        evict = events[-2][1]
         assert evict["entries"] == 1
+
+    def test_lookup_brackets_its_event_in_a_probe_span(self):
+        cache = PlanCache()
+        catalog = FakeCatalog()
+        cache.store(("a",), file_plan(), 1.0, memo=MEMO, catalog=catalog)
+        events = []
+
+        def emit(etype, **data):
+            events.append((etype, data))
+
+        cache.lookup(("a",), catalog, emit)
+        cache.lookup(("b",), catalog, emit)
+        assert [etype for etype, _ in events] == [
+            "span_begin", "plan_cache_hit", "span_end",
+            "span_begin", "plan_cache_miss", "span_end",
+        ]
+        ends = [data for etype, data in events if etype == "span_end"]
+        assert [e["name"] for e in ends] == ["plan_cache.probe"] * 2
+        assert [e["hit"] for e in ends] == [True, False]
+        assert events[4][1]["reason"] == "absent"
 
 
 # ---------------------------------------------------------------------------

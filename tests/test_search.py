@@ -192,6 +192,40 @@ class TestSearchSpace:
         assert "trans_considered" in int_fields
         assert set(int_fields) <= set(stats.as_dict())
 
+    def test_stats_dict_keys_and_order(self):
+        assert list(SearchStats().as_dict()) == [
+            "groups", "mexprs",
+            "trans_rules_matched", "impl_rules_matched",
+            "trans_rules_applicable", "impl_rules_applicable",
+            "trans_fired", "trans_considered",
+            "impl_considered", "impl_succeeded", "enforcer_applied",
+            "optimize_calls", "winners_cached",
+            "plan_cache_hits", "plan_cache_misses",
+            "descriptors_shared", "descriptors_unique",
+            "descriptor_values_shared", "memo_descriptor_objects",
+            "elapsed_seconds",
+        ]
+
+    def test_merge_folds_every_field(self):
+        """Every field survives merge(): numbers add, rule-name sets
+        union."""
+        fields = dataclasses.fields(SearchStats)
+        left, right = SearchStats(), SearchStats()
+        for base, stats in ((1, left), (100, right)):
+            for position, f in enumerate(fields):
+                value = getattr(stats, f.name)
+                if isinstance(value, set):
+                    value.add(f"{f.name}-{base}")
+                else:
+                    setattr(stats, f.name, type(value)(base + position))
+        left.merge(right)
+        for position, f in enumerate(fields):
+            value = getattr(left, f.name)
+            if isinstance(value, set):
+                assert value == {f"{f.name}-1", f"{f.name}-100"}, f.name
+            else:
+                assert value == 101 + 2 * position, f.name
+
     def test_plan_leaves_are_files(
         self, relational_volcano_generated, e1_setup
     ):

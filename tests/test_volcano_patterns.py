@@ -8,7 +8,7 @@ from repro.algebra.operations import Operator
 from repro.algebra.properties import DescriptorSchema, PropertyDef, PropertyType
 from repro.algebra.patterns import PatternNode, PatternVar
 from repro.volcano.memo import Memo, MExpr
-from repro.volcano.patterns import match_mexpr, pattern_could_match
+from repro.volcano.patterns import match_mexpr
 
 SCHEMA = DescriptorSchema(
     [
@@ -36,8 +36,9 @@ def memo_and_root():
     return memo, group.mexprs[0]
 
 
-def expand_all(memo):
-    return lambda gid: list(memo.group(gid).mexprs)
+def expand_op(memo):
+    """The engine's expansion: a group's members with a given root op."""
+    return lambda gid, op_name: memo.group(gid).by_op.get(op_name, ())
 
 
 class TestFlatMatch:
@@ -46,7 +47,7 @@ class TestFlatMatch:
         pattern = PatternNode(
             "JOIN", (PatternVar("S1", "DL1"), PatternVar("S2", "DL2")), "D1"
         )
-        bindings = list(match_mexpr(pattern, root, memo, expand_all(memo)))
+        bindings = list(match_mexpr(pattern, root, memo, expand_op(memo)))
         assert len(bindings) == 1
         binding = bindings[0]
         assert binding.descriptors["D1"] is root.descriptor
@@ -56,20 +57,20 @@ class TestFlatMatch:
     def test_var_descriptor_binds_group_logical(self, memo_and_root):
         memo, root = memo_and_root
         pattern = PatternNode("JOIN", (PatternVar("S1", "DL1"), PatternVar("S2")), "D1")
-        (binding,) = match_mexpr(pattern, root, memo, expand_all(memo))
+        (binding,) = match_mexpr(pattern, root, memo, expand_op(memo))
         logical = memo.group(root.inputs[0]).logical_descriptor
         assert binding.descriptors["DL1"] is logical
 
     def test_wrong_operator_no_match(self, memo_and_root):
         memo, root = memo_and_root
         pattern = PatternNode("MAT", (PatternVar("S1"),), "D1")
-        assert list(match_mexpr(pattern, root, memo, expand_all(memo))) == []
+        assert list(match_mexpr(pattern, root, memo, expand_op(memo))) == []
 
     def test_file_mexpr_never_matches(self, memo_and_root):
         memo, _root = memo_and_root
         file_mexpr = memo.group(0).mexprs[0]
         pattern = PatternNode("JOIN", (PatternVar("S1"), PatternVar("S2")), "D1")
-        assert list(match_mexpr(pattern, file_mexpr, memo, expand_all(memo))) == []
+        assert list(match_mexpr(pattern, file_mexpr, memo, expand_op(memo))) == []
 
 
 class TestNestedMatch:
@@ -88,7 +89,7 @@ class TestNestedMatch:
     def test_nested_match(self, memo_and_root):
         memo, root = memo_and_root
         bindings = list(
-            match_mexpr(self.assoc_pattern(), root, memo, expand_all(memo))
+            match_mexpr(self.assoc_pattern(), root, memo, expand_op(memo))
         )
         assert len(bindings) == 1
         binding = bindings[0]
@@ -107,7 +108,7 @@ class TestNestedMatch:
             "D2",
         )
         # root's right child is RET(R3): no JOIN member there
-        assert list(match_mexpr(mirrored, root, memo, expand_all(memo))) == []
+        assert list(match_mexpr(mirrored, root, memo, expand_op(memo))) == []
 
     def test_multiple_bindings_from_group_members(self, memo_and_root):
         memo, root = memo_and_root
@@ -117,7 +118,7 @@ class TestNestedMatch:
         swapped = MExpr("JOIN", (inner.inputs[1], inner.inputs[0]), d(21.0))
         memo.insert(swapped, group_id=inner_gid)
         bindings = list(
-            match_mexpr(self.assoc_pattern(), root, memo, expand_all(memo))
+            match_mexpr(self.assoc_pattern(), root, memo, expand_op(memo))
         )
         assert len(bindings) == 2
 
@@ -125,24 +126,10 @@ class TestNestedMatch:
         memo, root = memo_and_root
         calls = []
 
-        def expand(gid):
-            calls.append(gid)
-            return list(memo.group(gid).mexprs)
+        def expand(gid, op_name):
+            calls.append((gid, op_name))
+            return memo.group(gid).by_op.get(op_name, ())
 
         list(match_mexpr(self.assoc_pattern(), root, memo, expand))
-        assert calls == [root.inputs[0]]
+        assert calls == [(root.inputs[0], "JOIN")]
 
-
-class TestCouldMatch:
-    def test_could_match_checks_root_only(self, memo_and_root):
-        memo, root = memo_and_root
-        flat = PatternNode("JOIN", (PatternVar("S1"), PatternVar("S2")), "D1")
-        assert pattern_could_match(flat, root)
-        assert not pattern_could_match(
-            PatternNode("RET", (PatternVar("F"),), "D1"), root
-        )
-
-    def test_could_match_arity(self, memo_and_root):
-        memo, root = memo_and_root
-        unary = PatternNode("JOIN", (PatternVar("S1"),), "D1")
-        assert not pattern_could_match(unary, root)
