@@ -13,12 +13,35 @@ dict copy.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.algebra.properties import DescriptorSchema, DONT_CARE
 from repro.errors import DescriptorError
 
 _RESERVED = frozenset({"_schema", "_values", "_proj_cache"})
+
+# Value getters per projected names tuple: ``getter(values)`` is the
+# projection's values as a tuple, gathered in C.  Engines project a few
+# schema-stable tuples; the table is cleared if it ever fills.
+_GETTERS: "dict[tuple, Callable[[dict], tuple]]" = {}
+_GETTERS_LIMIT = 256
+
+
+def _getter(names: "tuple[str, ...]") -> "Callable[[dict], tuple]":
+    getter = _GETTERS.get(names)
+    if getter is None:
+        if len(names) == 1:
+            name = names[0]
+            getter = lambda values: (values[name],)  # noqa: E731
+        elif names:
+            getter = itemgetter(*names)
+        else:
+            getter = lambda values: ()  # noqa: E731
+        if len(_GETTERS) >= _GETTERS_LIMIT:
+            _GETTERS.clear()
+        _GETTERS[names] = getter
+    return getter
 
 
 class Descriptor:
@@ -177,13 +200,13 @@ class Descriptor:
         # compiled actions overwrite in place), so direct subscripting is
         # safe; the except path covers hand-built mappings in tests.
         try:
-            out = [values[name] for name in names]
+            projection = _getter(names)(values)
         except KeyError:
-            out = [values.get(name, DONT_CARE) for name in names]
-        for i, value in enumerate(out):
-            if type(value) is list:
-                out[i] = tuple(value)
-        projection = tuple(out)
+            projection = tuple([values.get(name, DONT_CARE) for name in names])
+        if list in map(type, projection):
+            projection = tuple(
+                [tuple(value) if type(value) is list else value for value in projection]
+            )
         object.__setattr__(self, "_proj_cache", (names, projection))
         return projection
 

@@ -14,8 +14,9 @@ names its descriptor explicitly, and the convention is applied by the
 DSL parser).
 
 Patterns are shared by the Prairie rule model and the Volcano engine:
-Prairie rules are written with them, and the Volcano pattern matcher
-(:mod:`repro.volcano.patterns`) binds them against memo expressions.
+Prairie rules are written with them, and :mod:`repro.volcano.patterns`
+compiles each trans_rule's pair of them into the function that binds
+the left side against memo expressions and builds the right side.
 """
 
 from __future__ import annotations

@@ -32,9 +32,11 @@ SIGNIFICANT_DIGITS = 6
 # ``round_estimate`` goes through string formatting, which is the single
 # most expensive arithmetic primitive on the search hot path; estimates
 # repeat heavily (the same subplan sizes recur across derivations), so a
-# bounded memo pays off.
+# memo pays off.  Repeats are local to one query's search while every new
+# query brings new values, so a full memo is cleared and refilled rather
+# than frozen: its size stays bounded however long the process serves.
 _ROUND_MEMO: dict = {}
-_ROUND_MEMO_LIMIT = 1 << 16
+_ROUND_MEMO_LIMIT = 1 << 12
 
 
 def round_estimate(value: float) -> float:
@@ -45,8 +47,9 @@ def round_estimate(value: float) -> float:
     if hit is not None:
         return hit
     rounded = float(f"{float(value):.{SIGNIFICANT_DIGITS}g}")
-    if len(_ROUND_MEMO) < _ROUND_MEMO_LIMIT:
-        _ROUND_MEMO[value] = rounded
+    if len(_ROUND_MEMO) >= _ROUND_MEMO_LIMIT:
+        _ROUND_MEMO.clear()
+    _ROUND_MEMO[value] = rounded
     return rounded
 
 

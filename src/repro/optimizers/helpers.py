@@ -27,10 +27,10 @@ from repro.prairie.helpers import HelperRegistry, default_helpers
 # Memo tables for the pure predicate helpers below.  Rule actions call
 # these on every application with a handful of distinct predicates per
 # query, and predicates are immutable/hashable by design, so memoization
-# is safe.  Bounded defensively — a pathological workload simply stops
-# memoizing instead of growing without limit.
+# is safe.  Bounded: a full table is cleared and refilled, so a process
+# serving ever-new queries keeps memoizing without growing.
 _PURE_MEMO: dict = {}
-_PURE_MEMO_LIMIT = 1 << 16
+_PURE_MEMO_LIMIT = 1 << 12
 
 
 def _pure_memo_get(key):
@@ -41,11 +41,12 @@ def _pure_memo_get(key):
 
 
 def _pure_memo_put(key, value):
-    if len(_PURE_MEMO) < _PURE_MEMO_LIMIT:
-        try:
-            _PURE_MEMO[key] = value
-        except TypeError:
-            pass
+    if len(_PURE_MEMO) >= _PURE_MEMO_LIMIT:
+        _PURE_MEMO.clear()
+    try:
+        _PURE_MEMO[key] = value
+    except TypeError:
+        pass
     return value
 
 

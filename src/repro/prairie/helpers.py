@@ -133,10 +133,11 @@ def _as_tuple(value: Any) -> tuple:
 
 # Memo for ``union`` — the single busiest pure helper (every JOIN/MAT
 # rule action concatenates attribute lists through it, with a handful of
-# distinct operand combinations per query).  Bounded so a pathological
-# workload stops memoizing instead of growing forever.
+# distinct operand combinations per query).  Bounded: a full table is
+# cleared and refilled, so a long-running process keeps memoizing the
+# current queries without growing.
 _UNION_MEMO: dict = {}
-_UNION_MEMO_LIMIT = 1 << 14
+_UNION_MEMO_LIMIT = 1 << 12
 
 
 def union(*parts: Any) -> tuple:
@@ -155,7 +156,9 @@ def union(*parts: Any) -> tuple:
         for item in _as_tuple(part):
             out[item] = None
     result = tuple(out)
-    if key is not None and len(_UNION_MEMO) < _UNION_MEMO_LIMIT:
+    if key is not None:
+        if len(_UNION_MEMO) >= _UNION_MEMO_LIMIT:
+            _UNION_MEMO.clear()
         _UNION_MEMO[key] = result
     return result
 

@@ -10,8 +10,9 @@ This package reimplements the relevant Volcano machinery in Python:
 * :mod:`repro.volcano.memo` — the memo table of *equivalence classes*
   (groups) of logically equivalent expressions; Figure 14 of the paper
   counts these.
-* :mod:`repro.volcano.patterns` — structural matching of rule left-hand
-  sides against memo expressions.
+* :mod:`repro.volcano.patterns` — compiled rule application: one
+  generated function per trans_rule that matches its left side against
+  memo expressions and builds its right side into the memo.
 * :mod:`repro.volcano.model` — trans_rules, impl_rules, enforcers, and
   the per-algorithm helper functions (``do_any_good``, ``cost``,
   ``get_input_pv``, ``derive_phy_prop``) of the Volcano model.

@@ -32,11 +32,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.algebra.operations import Algorithm, Operator
-from repro.algebra.patterns import PatternNode, PatternVar, pattern_vars
+from repro.algebra.patterns import (
+    PatternNode,
+    PatternVar,
+    pattern_nodes,
+    pattern_vars,
+)
 from repro.algebra.properties import DescriptorSchema
 from repro.errors import RuleSetError
 from repro.prairie.actions import ActionEnv
 from repro.prairie.helpers import HelperRegistry
+from repro.volcano.patterns import compile_trans_rule
 from repro.volcano.properties import PropertyVector
 
 CondCode = Callable[[ActionEnv], bool]
@@ -73,7 +79,10 @@ class TransRule:
 
     ``lhs``/``rhs`` are patterns; the engine binds the LHS against memo
     expressions, prepares fresh descriptors for the RHS names, and runs
-    ``cond_code`` then (on success) ``appl_code``.
+    ``cond_code`` then (on success) ``appl_code``.  It does so through
+    ``fire``, the function generated from the two patterns when a rule
+    set holding the rule is first validated; the patterns are therefore
+    fixed once the rule is in use.
     """
 
     name: str
@@ -108,6 +117,16 @@ class TransRule:
             for name in descriptor_names(self.rhs)
             if name not in self._lhs_desc_names
         )
+        # The generated firing function (repro.volcano.patterns), built
+        # once by VolcanoRuleSet.validate() and kept for the rule's life.
+        self.fire = None
+
+    def __getstate__(self) -> dict:
+        """Rules pickle without their generated function, which is not
+        importable; the next ``validate()`` generates it again."""
+        state = self.__dict__.copy()
+        state["fire"] = None
+        return state
 
     @property
     def lhs_descriptor_names(self) -> frozenset[str]:
@@ -302,22 +321,29 @@ class VolcanoRuleSet:
         # masks.  Mirrors ``_impl_by_operator``.
         self._trans_by_root: dict[str, list[tuple[int, TransRule]]] = {}
         self._no_trans_entries: list[tuple[int, TransRule]] = []
+        # Set by a successful validate(); every declare_*/add_* clears it.
+        # Engines validate on construction, and a service builds one
+        # engine per request.
+        self._validated = False
 
     # -- construction ---------------------------------------------------------
 
     def declare_operator(self, op: Operator) -> Operator:
+        self._validated = False
         if op.name in self.operators:
             raise RuleSetError(f"duplicate operator {op.name!r}")
         self.operators[op.name] = op
         return op
 
     def declare_algorithm(self, alg: Algorithm) -> Algorithm:
+        self._validated = False
         if alg.name in self.algorithms:
             raise RuleSetError(f"duplicate algorithm {alg.name!r}")
         self.algorithms[alg.name] = alg
         return alg
 
     def add_trans_rule(self, rule: TransRule) -> TransRule:
+        self._validated = False
         dense_id = len(self.trans_rules)
         self.trans_rules.append(rule)
         self._trans_by_root.setdefault(rule.lhs.op_name, []).append(
@@ -326,11 +352,13 @@ class VolcanoRuleSet:
         return rule
 
     def add_impl_rule(self, rule: ImplRule) -> ImplRule:
+        self._validated = False
         self.impl_rules.append(rule)
         self._impl_by_operator.setdefault(rule.operator, []).append(rule)
         return rule
 
     def add_enforcer(self, enforcer: Enforcer) -> Enforcer:
+        self._validated = False
         self.enforcers.append(enforcer)
         return enforcer
 
@@ -362,7 +390,14 @@ class VolcanoRuleSet:
         }
 
     def validate(self) -> None:
-        """Whole-rule-set sanity checks (raises :class:`RuleSetError`)."""
+        """Whole-rule-set sanity checks (raises :class:`RuleSetError`).
+
+        A valid rule set also gets each trans_rule's firing function
+        generated (once per rule).  Success is remembered until the rule
+        set next changes, so validating an unchanged set is free.
+        """
+        if self._validated:
+            return
         issues: list[str] = []
         for rule in self.impl_rules:
             if rule.operator not in self.operators:
@@ -375,8 +410,6 @@ class VolcanoRuleSet:
                     f"{rule.algorithm.name!r}"
                 )
         for rule in self.trans_rules:
-            from repro.algebra.patterns import pattern_nodes
-
             for side in (rule.lhs, rule.rhs):
                 for node in pattern_nodes(side):
                     if node.op_name not in self.operators:
@@ -384,6 +417,13 @@ class VolcanoRuleSet:
                             f"trans_rule {rule.name!r}: unknown operator "
                             f"{node.op_name!r}"
                         )
+            bound = {var.var for var in pattern_vars(rule.lhs)}
+            for var in pattern_vars(rule.rhs):
+                if var.var not in bound:
+                    issues.append(
+                        f"trans_rule {rule.name!r}: right-side variable "
+                        f"?{var.var} is not bound by the left side"
+                    )
         for op_name in self.operators:
             if not self.impl_rules_for(op_name):
                 issues.append(
@@ -400,6 +440,10 @@ class VolcanoRuleSet:
                 f"Volcano rule set {self.name!r} is invalid:\n  "
                 + "\n  ".join(issues)
             )
+        for rule in self.trans_rules:
+            if rule.fire is None:
+                rule.fire = compile_trans_rule(rule)
+        self._validated = True
 
     def __repr__(self) -> str:
         c = self.counts()

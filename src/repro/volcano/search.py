@@ -37,14 +37,12 @@ from typing import Any, Union
 from repro.algebra.descriptors import Descriptor
 from repro.algebra.expressions import Expression, StoredFileRef
 from repro.algebra.interning import DescriptorInterner
-from repro.algebra.patterns import PatternElem, PatternVar
 from repro.algebra.properties import DONT_CARE
 from repro.catalog.schema import Catalog
 from repro.errors import NoPlanFoundError, SearchError
-from repro.prairie.actions import ActionEnv, LazyFreshDescriptors
+from repro.prairie.actions import ActionEnv
 from repro.volcano.memo import Group, Memo, MExpr
-from repro.volcano.model import Enforcer, ImplRule, TransRule, VolcanoRuleSet
-from repro.volcano.patterns import MatchBinding, match_mexpr
+from repro.volcano.model import Enforcer, ImplRule, VolcanoRuleSet
 from repro.volcano.plancache import MemoSummary, PlanCache, copy_plan
 from repro.volcano.properties import (
     PropertyVector,
@@ -262,11 +260,17 @@ class VolcanoOptimizer:
         # receives the event stream documented in docs/observability.md.
         self.tracer = tracer
         self.context = OptimizerContext(catalog=catalog, ruleset=ruleset)
-        # Identity of a default-valued descriptor: most RHS descriptors
-        # are never touched by the rule's actions, so their memo identity
-        # is this schema-wide constant (see _build_rhs).
-        self._default_arg_projection = Descriptor(ruleset.schema).project(
-            ruleset.argument_properties
+        # What the generated trans_rule functions (TransRule.fire, see
+        # repro.volcano.patterns) read from the engine, in one tuple.  The
+        # last entry is the identity of a default-valued descriptor: most
+        # right-side descriptors are never touched by the rule's actions,
+        # so their memo identity is this schema-wide constant.
+        self._fire_constants = (
+            ruleset.helpers,
+            self.context,
+            ruleset.schema,
+            ruleset.argument_properties,
+            Descriptor(ruleset.schema).project(ruleset.argument_properties),
         )
         # Hash-consing table for m-expr descriptors, shared across this
         # engine's optimize() calls so repeated queries re-use the same
@@ -437,10 +441,12 @@ class VolcanoOptimizer:
         Only rules whose LHS root matches an m-expr's operator are
         attempted (via the rule set's operator index), and fired
         bookkeeping is a bitmask over dense rule ids on the m-expr
-        itself — no per-attempt tuple allocation or global set."""
+        itself — no per-attempt tuple allocation or global set.  Each
+        rule fires through its generated function (``TransRule.fire``,
+        :mod:`repro.volcano.patterns`)."""
         memo = state.memo
         options = self.options
-        mexprs = group.mexprs  # mutated in place by _build_rhs inserts
+        mexprs = group.mexprs  # mutated in place by right-side inserts
         trans_entries_for = self.ruleset.trans_entries_for
         unrestricted = not options.disabled_rules
         index = 0
@@ -457,129 +463,8 @@ class VolcanoOptimizer:
                 if not (unrestricted or options.allows(rule.name)):
                     continue
                 mexpr.fired_mask |= bit
-                self._apply_trans_rule(state, rule, mexpr, gid)
+                rule.fire(self, state, mexpr, gid)
             index += 1
-
-    def _apply_trans_rule(
-        self, state: "_SearchState", rule: TransRule, mexpr: MExpr, gid: int
-    ) -> None:
-        memo = state.memo
-
-        # Nested pattern nodes enumerate only the input group's members
-        # with the right root operator (the group's by_op index), instead
-        # of scanning every member.
-        def expand_op(child_gid: int, op_name: str):
-            self._explore(state, child_gid)
-            return memo.group(child_gid).by_op.get(op_name, ())
-
-        appl_code = rule.appl_code
-        emit = state.emit
-        if emit is not None:
-            emit("trans_attempt", rule=rule.name, gid=gid)
-        matched = False
-        for binding in match_mexpr(rule.lhs, mexpr, memo, expand_op):
-            matched = True
-            state.stats.trans_considered += 1
-            env = self._trans_env(rule, binding)
-            if not rule.cond_code(env):
-                if emit is not None:
-                    emit("trans_rejected", rule=rule.name, gid=gid)
-                continue
-            state.stats.trans_applicable.add(rule.name)
-            appl_code(env)
-            state.stats.trans_fired += 1
-            if emit is not None:
-                emit(
-                    "trans_fired",
-                    rule=rule.name,
-                    provenance=rule.provenance_id,
-                    gid=gid,
-                )
-            self._build_rhs(state, rule.rhs, binding, env, target_group=gid)
-        if matched:
-            state.stats.trans_matched.add(rule.name)
-
-    def _trans_env(self, rule: TransRule, binding: MatchBinding) -> ActionEnv:
-        # Fresh RHS descriptors materialize on first access — most
-        # bindings fail the rule's condition without ever touching them.
-        # The binding is single-use, so its descriptor dict seeds the
-        # namespace directly.
-        bound = binding.descriptors
-        return ActionEnv(
-            LazyFreshDescriptors(
-                bound, rule.fresh_rhs_names, self.ruleset.schema
-            ),
-            self.ruleset.helpers,
-            context=self.context,
-            readonly=bound.keys(),
-        )
-
-    def _build_rhs(
-        self,
-        state: "_SearchState",
-        elem: PatternElem,
-        binding: MatchBinding,
-        env: ActionEnv,
-        target_group: "int | None",
-    ) -> int:
-        """Materialize a rule's RHS into the memo; returns its group id.
-
-        The RHS root joins ``target_group`` (it is logically equivalent to
-        the matched expression); nested nodes get their own groups unless
-        duplicate elimination finds them already known.
-        """
-        if isinstance(elem, PatternVar):
-            return binding.groups[elem.var]
-        child_gids = tuple(
-            [
-                self._build_rhs(state, child, binding, env, target_group=None)
-                for child in elem.inputs
-            ]
-        )
-        memo = state.memo
-        # allow_cross_group: the fired rule proves the RHS logically
-        # equivalent to the target group, so a duplicate found in another
-        # group means the two groups are equivalent; keeping the original
-        # home is this memo's documented behaviour.
-        #
-        # Most RHS nodes are re-derivations of known m-exprs, so probe the
-        # duplicate-elimination index *before* paying for descriptor
-        # materialization, copy and m-expr allocation.  A fresh RHS
-        # descriptor the rule's actions never wrote stays lazily absent
-        # (``dict.get`` skips ``__missing__``) and its argument projection
-        # is the schema-default constant.
-        descriptors = env.descriptors
-        descriptor = descriptors.get(elem.descriptor)
-        if descriptor is None:
-            if elem.descriptor not in descriptors._fresh:
-                env.descriptor(elem.descriptor)  # canonical ActionError
-            projection = self._default_arg_projection
-        else:
-            projection = descriptor.project(memo.argument_properties)
-        key = (elem.op_name, child_gids, projection)
-        canonical = memo._index.get(key)  # inlined Memo.probe
-        created = False
-        if canonical is None:
-            if descriptor is None:
-                # Unshared and default-valued: safe to hand straight to
-                # the m-expr, no copy.
-                descriptor = Descriptor(self.ruleset.schema)
-            else:
-                descriptor = descriptor.copy()
-            canonical, created = memo.insert(
-                MExpr(elem.op_name, child_gids, descriptor),
-                group_id=target_group,
-                allow_cross_group=True,
-                key=key,
-            )
-        if created and target_group is None:
-            # A brand-new group must be closed under the trans_rules right
-            # away: every logically equivalent variant (e.g. the commuted
-            # join) must live in *this* group before any other rule can
-            # derive the variant independently and accidentally seed a
-            # second, split group for the same equivalence class.
-            self._explore(state, canonical.group_id)
-        return canonical.group_id
 
     # -- optimization (impl_rules + enforcers, memoized winners) -----------------
 
@@ -678,14 +563,19 @@ class VolcanoOptimizer:
         input_groups: tuple[int, ...],
         memo: Memo,
     ) -> ActionEnv:
+        """The environment of one impl-rule or enforcer attempt.
+
+        Input descriptors are bound to the input groups' logical
+        descriptors themselves: the condition only reads them, and most
+        attempts end there.  :meth:`_own_inputs` swaps in private copies
+        once the condition holds, before any code that writes.
+        """
         descriptors: dict[str, Descriptor] = {rule.op_desc_name: op_descriptor}
         readonly = {rule.op_desc_name}
         for index, child_gid in enumerate(input_groups):
             lhs_name = rule.lhs_input_desc(index)
             if lhs_name is not None:
-                descriptors[lhs_name] = memo.group(
-                    child_gid
-                ).logical_descriptor.copy()
+                descriptors[lhs_name] = memo.group(child_gid).logical_descriptor
                 readonly.add(lhs_name)
         for name in rule.rhs_descriptor_names:
             descriptors[name] = Descriptor(self.ruleset.schema)
@@ -695,6 +585,24 @@ class VolcanoOptimizer:
             context=self.context,
             readonly=readonly,
         )
+
+    @staticmethod
+    def _own_inputs(
+        rule: "ImplRule | Enforcer",
+        env: ActionEnv,
+        input_groups: tuple[int, ...],
+        memo: Memo,
+    ) -> None:
+        """Replace the shared input descriptors :meth:`_impl_env` bound
+        with copies the rule's actions may write (a right-side
+        descriptor bound under the same name is left alone)."""
+        descriptors = env.descriptors
+        for index, child_gid in enumerate(input_groups):
+            lhs_name = rule.lhs_input_desc(index)
+            if lhs_name is not None:
+                shared = memo.groups[child_gid].logical_descriptor
+                if descriptors[lhs_name] is shared:
+                    descriptors[lhs_name] = shared.copy()
 
     def _record_input_result(
         self,
@@ -745,6 +653,7 @@ class VolcanoOptimizer:
                     "impl_rejected", rule=rule.name, gid=gid, reason="condition"
                 )
             return None
+        self._own_inputs(rule, env, mexpr.inputs, state.memo)
         state.stats.impl_applicable.add(rule.name)
         if not rule.do_any_good(env):
             if emit is not None:
@@ -854,6 +763,7 @@ class VolcanoOptimizer:
                     reason="condition",
                 )
             return None
+        self._own_inputs(enforcer, env, (gid,), state.memo)
         if not enforcer.do_any_good(env):
             if emit is not None:
                 emit(

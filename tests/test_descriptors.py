@@ -132,6 +132,23 @@ class TestProjection:
     def test_project_missing_yields_dont_care(self, schema):
         d = Descriptor(schema)
         assert d.project(("nonexistent",)) == (DONT_CARE,)
+        assert d.project(("cost", "nonexistent")) == (DONT_CARE, DONT_CARE)
+
+    def test_project_no_names(self, schema):
+        assert Descriptor(schema, {"cost": 1.0}).project(()) == ()
+
+    def test_project_freezes_lists_among_others(self, schema):
+        d = Descriptor(schema, {"attributes": ["a"], "num_records": 3.0})
+        projected = d.project(("num_records", "attributes", "cost"))
+        assert projected == (3.0, ("a",), DONT_CARE)
+        assert type(projected[1]) is tuple
+
+    def test_project_sees_writes(self, schema):
+        d = Descriptor(schema, {"num_records": 1.0})
+        names = ("num_records", "cost")
+        assert d.project(names) == (1.0, DONT_CARE)
+        d["num_records"] = 2.0
+        assert d.project(names) == (2.0, DONT_CARE)
 
 
 class TestComparison:

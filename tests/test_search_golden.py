@@ -13,7 +13,10 @@ import pytest
 from repro.catalog.predicates import equals_attr
 from repro.volcano.explain import explain
 from repro.volcano.search import VolcanoOptimizer
+from repro.workloads.catalogs import make_experiment_catalog
+from repro.workloads.expressions import build_e1
 from repro.workloads.queries import make_query_instance
+from repro.workloads.trees import TreeBuilder
 
 # (cost, groups, mexprs, trans_fired, winners_cached, memo_descriptor_objects)
 OODB_GOLDEN = {
@@ -33,6 +36,16 @@ OODB_GOLDEN = {
     ("Q7", 2): (140.64242651, 111, 2441, 47753, 111, 2645),
     ("Q8", 1): (11.102136, 26, 134, 629, 26, 180),
     ("Q8", 2): (18.419126510000005, 111, 2441, 47753, 111, 2645),
+}
+
+# Wider join graphs, where transformation closure is deep enough that a
+# rule application lost to pruning would change the memo: 1-2 join rows
+# cannot see it.  Same columns as OODB_GOLDEN; instance 0 throughout.
+WIDE_GOLDEN = {
+    ("Q1", 4): (1820.3618999999999, 21, 73, 113, 21, 172),
+    ("Q1", 6): (2772.1338, 44, 387, 1122, 44, 595),
+    ("star", 4): (11119.1443, 28, 124, 208, 28, 272),
+    ("star", 5): (1221.42855, 69, 784, 2142, 69, 1219),
 }
 
 RELATIONAL_3WAY_GOLDEN = (855.3295199263462, 9, 15, 11, 16, 46)
@@ -246,6 +259,19 @@ def test_oodb_search_outcome(schema, oodb_volcano_generated, qid, n_joins):
     result = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
     assert _outcome(result) == OODB_GOLDEN[qid, n_joins]
     assert explain(result, verbose=False) == OODB_EXPLAIN[qid, n_joins]
+
+
+@pytest.mark.parametrize("family,n_joins", sorted(WIDE_GOLDEN))
+def test_wide_search_outcome(schema, oodb_volcano_generated, family, n_joins):
+    if family == "star":
+        catalog = make_experiment_catalog(
+            n_joins + 1, with_indices=False, with_targets=False, instance=0
+        )
+        tree = build_e1(TreeBuilder(schema, catalog), n_joins, topology="star")
+    else:
+        catalog, tree = make_query_instance(schema, family, n_joins, 0)
+    result = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
+    assert _outcome(result) == WIDE_GOLDEN[family, n_joins]
 
 
 def test_relational_3way_search_outcome(

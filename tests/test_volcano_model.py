@@ -233,3 +233,155 @@ class TestVolcanoRuleSet:
         rs = self.make()
         rs.add_impl_rule(make_impl())
         rs.validate()
+
+    def test_unbound_rhs_variable_rejected(self):
+        rs = self.make()
+        rs.add_impl_rule(make_impl())
+        rs.add_trans_rule(
+            TransRule(
+                name="tr",
+                lhs=node("JOIN", var("S1"), var("S2"), desc="D1"),
+                rhs=node("JOIN", var("S2"), var("S9"), desc="D2"),
+                cond_code=_true,
+                appl_code=_noop,
+            )
+        )
+        with pytest.raises(RuleSetError, match=r"\?S9"):
+            rs.validate()
+
+
+class TestValidateOnce:
+    """A service builds one engine per request, and every engine validates
+    its rule set: only the first validation of an unchanged set works."""
+
+    def make(self):
+        rs = TestVolcanoRuleSet().make()
+        rs.add_impl_rule(make_impl())
+        rs.add_trans_rule(
+            TransRule(
+                name="commute",
+                lhs=node("JOIN", var("S1", "DL1"), var("S2", "DL2"), desc="D1"),
+                rhs=node("JOIN", var("S2"), var("S1"), desc="D2"),
+                cond_code=_true,
+                appl_code=_noop,
+            )
+        )
+        return rs
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_body_runs_once_for_two_constructions(self, monkeypatch):
+        from repro.catalog.schema import Catalog
+        from repro.volcano import model
+        from repro.volcano.search import VolcanoOptimizer
+
+        rs = self.make()
+        walks = self.count_calls(monkeypatch, model, "pattern_nodes")
+        VolcanoOptimizer(rs, Catalog([]))
+        after_first = len(walks)
+        VolcanoOptimizer(rs, Catalog([]))
+        assert after_first > 0
+        assert len(walks) == after_first
+
+    def test_changes_after_validation_are_checked(self):
+        from repro.catalog.schema import Catalog
+        from repro.volcano.search import VolcanoOptimizer
+
+        rs = self.make()
+        VolcanoOptimizer(rs, Catalog([]))
+        rs.add_impl_rule(
+            make_impl(
+                name="bad", operator="SELECT",
+                algorithm=Algorithm.streams("Hash_join", 2),
+            )
+        )
+        with pytest.raises(RuleSetError):
+            VolcanoOptimizer(rs, Catalog([]))
+        with pytest.raises(RuleSetError):
+            rs.validate()
+
+    def test_each_declaration_clears_the_mark(self):
+        rs = self.make()
+        steps = [
+            lambda: rs.declare_algorithm(Algorithm.streams("Filter", 1)),
+            lambda: rs.add_impl_rule(make_impl(name="r2")),
+            lambda: rs.add_trans_rule(
+                TransRule(
+                    name="t2",
+                    lhs=node("JOIN", var("S1"), var("S2"), desc="D1"),
+                    rhs=node("JOIN", var("S1"), var("S2"), desc="D2"),
+                    cond_code=_true,
+                    appl_code=_noop,
+                )
+            ),
+            lambda: rs.add_enforcer(
+                Enforcer(
+                    name="e",
+                    operator="SORT",
+                    algorithm=Algorithm.streams("Merge_sort", 1),
+                    lhs=node("SORT", var("S1", "D1"), desc="D2"),
+                    rhs=node("Merge_sort", var("S1"), desc="D3"),
+                    cond_code=_true,
+                    do_any_good=_true,
+                    get_input_pv=_pv,
+                    derive_phy_prop=_derive,
+                    cost=_cost,
+                )
+            ),
+            # Last: the new operator has no impl_rule, so the set is invalid.
+            lambda: rs.declare_operator(Operator.streams("SELECT", 1)),
+        ]
+        for step in steps:
+            rs.validate()
+            assert rs._validated
+            step()
+            assert not rs._validated
+
+    def test_trans_rules_compiled_once(self, monkeypatch):
+        """Generated code belongs to the rule: building 1,000 optimizers
+        over a validated rule set generates none."""
+        from repro.catalog.schema import Catalog
+        from repro.volcano import model
+        from repro.volcano.search import VolcanoOptimizer
+
+        rs = self.make()
+        compiled = self.count_calls(monkeypatch, model, "compile_trans_rule")
+        VolcanoOptimizer(rs, Catalog([]))
+        assert len(compiled) == 1
+        fire = rs.trans_rules[0].fire
+        for _ in range(1000):
+            VolcanoOptimizer(rs, Catalog([]))
+        assert len(compiled) == 1
+        assert rs.trans_rules[0].fire is fire
+        # A second rule set holding the same rule object reuses its code.
+        other = TestVolcanoRuleSet().make()
+        other.add_impl_rule(make_impl())
+        other.add_trans_rule(rs.trans_rules[0])
+        other.validate()
+        assert len(compiled) == 1
+
+    def test_validated_rule_still_pickles(self):
+        import pickle
+
+        from repro.optimizers.relational_volcano import build_relational_volcano
+
+        rule = build_relational_volcano().trans_rules[0]
+        assert rule.fire is not None
+        clone = pickle.loads(pickle.dumps(rule))
+        assert clone.fire is None
+        assert (clone.name, clone.lhs, clone.rhs) == (rule.name, rule.lhs, rule.rhs)
+        rs = TestVolcanoRuleSet().make()
+        rs.add_impl_rule(make_impl())
+        rs.add_trans_rule(clone)
+        rs.validate()
+        assert callable(clone.fire)
