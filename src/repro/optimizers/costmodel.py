@@ -22,7 +22,6 @@ from repro.catalog.schema import StoredFileInfo
 
 PAGE_SIZE = 8192          # bytes per page
 CPU_TUPLE_COST = 0.01     # cost of touching one tuple in memory
-SORT_CONSTANT = 0.02      # multiplier on n·log2(n) for in-memory sort
 INDEX_PROBE_COST = 1.0    # fixed cost of descending an index
 INDEX_FETCH_COST = 0.5    # cost of fetching one qualifying row via the index
 POINTER_CHASE_COST = 1.0  # one random page fetch per reference chased
@@ -73,11 +72,6 @@ def filter_cost(input_cost: float, input_records: float) -> float:
     return round_estimate(input_cost + CPU_TUPLE_COST * input_records)
 
 
-def project_cost(input_cost: float, input_records: float) -> float:
-    """Streaming projection: same shape as a filter."""
-    return round_estimate(input_cost + CPU_TUPLE_COST * input_records)
-
-
 def nested_loops_cost(
     outer_cost: float, outer_records: float, inner_cost: float
 ) -> float:
@@ -121,16 +115,3 @@ def pointer_join_cost(
     never scanned.
     """
     return round_estimate(outer_cost + POINTER_CHASE_COST * outer_records)
-
-
-def sort_cost(input_cost: float, num_records: float) -> float:
-    """Figure 5's shape: input cost plus n·log(n) comparison work."""
-    import math
-
-    n = max(num_records, 1.0)
-    return round_estimate(input_cost + SORT_CONSTANT * n * math.log2(max(n, 2.0)))
-
-
-def unnest_cost(input_cost: float, input_records: float) -> float:
-    """Flattening a set-valued attribute: CPU per produced tuple."""
-    return round_estimate(input_cost + CPU_TUPLE_COST * 2.0 * input_records)

@@ -10,13 +10,12 @@ contextual helpers can reach catalog statistics from any node descriptor.
 from __future__ import annotations
 
 from repro.algebra.descriptors import Descriptor
-from repro.algebra.expressions import StoredFileRef
 from repro.algebra.properties import (
     DescriptorSchema,
     DONT_CARE,
     PropertyType,
 )
-from repro.catalog.schema import Catalog, StoredFileInfo
+from repro.catalog.schema import StoredFileInfo
 
 
 def make_schema() -> DescriptorSchema:
@@ -91,10 +90,3 @@ def leaf_descriptor(schema: DescriptorSchema, info: StoredFileInfo) -> Descripto
             "tuple_size": float(info.tuple_size),
         },
     )
-
-
-def make_leaf(
-    schema: DescriptorSchema, catalog: Catalog, file_name: str
-) -> StoredFileRef:
-    """A fully annotated stored-file leaf for building operator trees."""
-    return StoredFileRef(file_name, leaf_descriptor(schema, catalog[file_name]))

@@ -104,11 +104,7 @@ class Group:
 class Memo:
     """The memo table: groups plus the global duplicate-elimination index."""
 
-    def __init__(
-        self,
-        argument_properties: tuple[str, ...],
-        descriptor_interner=None,
-    ) -> None:
+    def __init__(self, argument_properties: tuple[str, ...]) -> None:
         self.argument_properties = argument_properties
         self.groups: list[Group] = []
         self._index: dict[tuple, MExpr] = {}
@@ -117,16 +113,6 @@ class Memo:
         # silent.  One ``is not None`` check per structural mutation —
         # the tracing-off overhead the perf benchmark bounds.
         self._emit = None
-        # Optional hash-consing of m-expr descriptors
-        # (:class:`repro.algebra.interning.DescriptorInterner`): most
-        # m-exprs carry the schema defaults or one of a few argument
-        # combinations, so sharing one canonical Descriptor per distinct
-        # value set shrinks the memo without changing any search result
-        # (the engine copies descriptors before every write).  Interned
-        # descriptors may be shared across memos when the interner is.
-        self._descriptor_interner = descriptor_interner
-        self.descriptors_shared = 0
-        self.descriptors_unique = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -199,17 +185,6 @@ class Memo:
                     f"two groups are provably equivalent)"
                 )
             return existing, False
-        interner = self._descriptor_interner
-        if interner is not None and not mexpr.is_file:
-            # File leaves are excluded: their descriptors are the query
-            # tree's own objects (never copied on insert) and callers may
-            # keep mutating the tree after optimization.
-            canonical_desc = interner.canonical(mexpr.descriptor)
-            if canonical_desc is mexpr.descriptor:
-                self.descriptors_unique += 1
-            else:
-                mexpr.descriptor = canonical_desc
-                self.descriptors_shared += 1
         if group_id is None:
             group = self.new_group(mexpr.descriptor)
         else:
@@ -244,11 +219,7 @@ class Memo:
         return self.group(mexpr.group_id)
 
     def _encode(self, node: "Expression | StoredFileRef") -> MExpr:
-        # Hash-consed trees (repro.algebra.interning) encode through the
-        # same paths: interned leaves/nodes expose the name/op/inputs/
-        # descriptor surface this walk reads, and their descriptors are
-        # only ever read or copied here.
-        if isinstance(node, StoredFileRef) or not hasattr(node, "op"):
+        if isinstance(node, StoredFileRef):
             return self.add_file(node)
         child_groups = tuple(self._encode(c).group_id for c in node.inputs)
         mexpr = MExpr(node.op.name, child_groups, node.descriptor.copy())
@@ -258,42 +229,18 @@ class Memo:
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Memos pickle without their process-local hooks.
+        """Memos pickle without their process-local trace hook.
 
-        ``_emit`` may be a bound tracer method and the descriptor
-        interner is shared engine state; neither belongs to the memo's
-        value, so a pickled memo leaves them out.  The batch optimizer
-        itself ships no memos: plan-cache entries keep only a
+        ``_emit`` may be a bound tracer method, which does not belong to
+        the memo's value, so a pickled memo leaves it out.  The batch
+        optimizer itself ships no memos: plan-cache entries keep only a
         :class:`~repro.volcano.plancache.MemoSummary`.
         """
         state = self.__dict__.copy()
         state["_emit"] = None
-        state["_descriptor_interner"] = None
         return state
 
     # -- statistics -----------------------------------------------------------
-
-    def retained_descriptor_objects(self) -> int:
-        """Distinct Python objects the memo retains for descriptors.
-
-        Counts every m-expr descriptor plus every distinct value object
-        reachable from one (by identity).  This is the number
-        hash-consing actually shrinks: descriptors stay distinct (their
-        value *sets* differ), but their slots collapse onto a small pool
-        of canonical values.  The memo only grows during search, so the
-        count at the end of a search is its peak.
-        """
-        seen: set[int] = set()
-        add = seen.add
-        for group in self.groups:
-            for mexpr in group.mexprs:
-                descriptor = mexpr.descriptor
-                if id(descriptor) in seen:
-                    continue
-                add(id(descriptor))
-                for value in descriptor.values():
-                    add(id(value))
-        return len(seen)
 
     @property
     def group_count(self) -> int:

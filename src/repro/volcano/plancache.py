@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Any, Union
 
 from repro.algebra.expressions import Expression, StoredFileRef
-from repro.algebra.interning import InternedLeaf, InternedNode
 from repro.catalog.schema import Catalog
 
 PlanTree = Union[Expression, StoredFileRef]
@@ -68,14 +67,7 @@ def tree_fingerprint(
     stored files are identified by name alone.  Physical annotations
     (costs, orders) are deliberately excluded — they are outputs of
     optimization, not part of the query's identity.
-
-    Hash-consed trees (:mod:`repro.algebra.interning`) take the O(1)
-    path: interned nodes memoize their fingerprint, so re-fingerprinting
-    a shared subtree is a dict hit instead of a tree walk.  The two
-    paths produce identical tuples.
     """
-    if isinstance(tree, (InternedNode, InternedLeaf)):
-        return tree.fingerprint(argument_properties)
     if isinstance(tree, StoredFileRef):
         return ("file", tree.name)
     return (

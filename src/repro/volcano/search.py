@@ -36,7 +36,6 @@ from typing import Any, Union
 
 from repro.algebra.descriptors import Descriptor
 from repro.algebra.expressions import Expression, StoredFileRef
-from repro.algebra.interning import DescriptorInterner
 from repro.algebra.properties import DONT_CARE
 from repro.catalog.schema import Catalog
 from repro.errors import NoPlanFoundError, SearchError
@@ -140,6 +139,12 @@ class SearchStats:
     left-hand side structurally matched some memo expression — the
     paper's Table 5 "rules matched" metric ("not all the rules were
     necessarily applicable": condition failures still count as matched).
+
+    ``descriptors_shared``, ``descriptors_unique``,
+    ``descriptor_values_shared`` and ``memo_descriptor_objects`` are
+    retired and always 0: m-expr descriptors are private copies, so there
+    is no sharing to count.  They stay because optbench's layer metrics
+    read them by name.
     """
 
     groups: int = 0
@@ -272,10 +277,6 @@ class VolcanoOptimizer:
             ruleset.argument_properties,
             Descriptor(ruleset.schema).project(ruleset.argument_properties),
         )
-        # Hash-consing table for m-expr descriptors, shared across this
-        # engine's optimize() calls so repeated queries re-use the same
-        # canonical objects (repro.algebra.interning).
-        self._descriptor_interner = DescriptorInterner(ruleset.schema)
 
     # -- public API ------------------------------------------------------------
 
@@ -302,14 +303,14 @@ class VolcanoOptimizer:
         required = intern_vector(required)
         emit = self._emit_hook()
         if emit is not None:
-            # Interned leaves (repro.algebra.interning) have a name but
-            # no op, like StoredFileRef.
-            root_op = tree.op.name if hasattr(tree, "op") else tree.name
             emit(
                 "optimize_begin",
                 engine=type(self).__name__,
                 ruleset=self.ruleset.name,
-                root_op=root_op,
+                root_op=(
+                    tree.name if isinstance(tree, StoredFileRef)
+                    else tree.op.name
+                ),
                 required=_pv_text(required),
             )
         cache = self.plan_cache
@@ -337,11 +338,7 @@ class VolcanoOptimizer:
                 return OptimizationResult(
                     copy_plan(entry.plan), entry.cost, stats, entry.memo
                 )
-        interner = self._descriptor_interner
-        memo = Memo(
-            self.ruleset.argument_properties, descriptor_interner=interner
-        )
-        values_shared_before = interner.values_shared
+        memo = Memo(self.ruleset.argument_properties)
         stats = SearchStats()
         if cache is not None:
             stats.plan_cache_misses = 1
@@ -351,12 +348,6 @@ class VolcanoOptimizer:
         winner = self._search(state, root.gid, required)
         stats.groups = memo.group_count
         stats.mexprs = memo.mexpr_count
-        stats.descriptors_shared = memo.descriptors_shared
-        stats.descriptors_unique = memo.descriptors_unique
-        stats.descriptor_values_shared = (
-            interner.values_shared - values_shared_before
-        )
-        stats.memo_descriptor_objects = memo.retained_descriptor_objects()
         stats.elapsed_seconds = time.perf_counter() - started
         if winner is None:
             if emit is not None:

@@ -152,4 +152,3 @@ class TestCacheEntries:
         assert clone.group_count == memo.group_count
         assert clone.mexpr_count == memo.mexpr_count
         assert clone._emit is None
-        assert clone._descriptor_interner is None

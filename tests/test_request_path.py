@@ -7,8 +7,11 @@ cache, statistics and trace events come from
 gives the bottom-up engine.
 """
 
+import gc
+
 import pytest
 
+from repro.algebra.descriptors import Descriptor
 from repro.errors import NoPlanFoundError
 from repro.obs import CollectingTracer
 from repro.volcano.bottomup import BottomUpOptimizer
@@ -54,16 +57,6 @@ def test_optimize_failed_carries_required(
     assert "root_gid" in failed.data
 
 
-def test_bottom_up_interns_descriptors(schema, oodb_volcano_generated):
-    catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-    stats = BottomUpOptimizer(oodb_volcano_generated, catalog).optimize(
-        tree
-    ).stats
-    assert stats.descriptor_values_shared > 0
-    assert stats.descriptors_unique > 0
-    assert stats.memo_descriptor_objects > 0
-
-
 def test_bottom_up_uses_the_plan_cache(schema, oodb_volcano_generated):
     catalog, tree = make_query_instance(schema, "Q3", 1, 0)
     optimizer = BottomUpOptimizer(
@@ -75,3 +68,24 @@ def test_bottom_up_uses_the_plan_cache(schema, oodb_volcano_generated):
     assert warm.stats.plan_cache_hits == 1
     assert warm.cost == cold.cost
     assert warm.stats.groups == cold.stats.groups
+
+
+def _live_descriptors() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Descriptor) for obj in gc.get_objects())
+
+
+def test_finished_searches_retain_no_descriptors(
+    schema, oodb_volcano_generated
+):
+    """An engine keeps nothing of a search once its result is dropped."""
+    requests = []
+    for qid, instance in (("Q1", 0), ("Q3", 1), ("Q5", 2), ("Q7", 0)):
+        catalog, tree = make_query_instance(schema, qid, 1, instance)
+        requests.append(
+            (VolcanoOptimizer(oodb_volcano_generated, catalog), tree)
+        )
+    before = _live_descriptors()
+    for optimizer, tree in requests:
+        optimizer.optimize(tree)
+    assert _live_descriptors() == before

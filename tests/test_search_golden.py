@@ -3,9 +3,8 @@
 The values were recorded when the engine still kept a second,
 seed-equivalent search path beside the indexed one; every combination of
 the two gave exactly these rows.  Any change to the search — rule order,
-memo shape, descriptor sharing, costing — that alters a plan, a cost or
-the size of the memo fails here, so a faster search must reproduce every
-row bit-for-bit.
+memo shape, costing — that alters a plan, a cost or the size of the memo
+fails here, so a faster search must reproduce every row bit-for-bit.
 """
 
 import pytest
@@ -18,37 +17,37 @@ from repro.workloads.expressions import build_e1
 from repro.workloads.queries import make_query_instance
 from repro.workloads.trees import TreeBuilder
 
-# (cost, groups, mexprs, trans_fired, winners_cached, memo_descriptor_objects)
+# (cost, groups, mexprs, trans_fired, winners_cached)
 OODB_GOLDEN = {
-    ("Q1", 1): (73.46755999999999, 5, 6, 2, 5, 25),
-    ("Q1", 2): (611.7222, 9, 15, 11, 9, 50),
-    ("Q2", 1): (73.46755999999999, 5, 6, 2, 5, 25),
-    ("Q2", 2): (611.7222, 9, 15, 11, 9, 50),
-    ("Q3", 1): (3230.46756, 10, 23, 44, 10, 60),
-    ("Q3", 2): (12098.7222, 25, 143, 792, 25, 280),
-    ("Q4", 1): (3230.46756, 10, 23, 44, 10, 60),
-    ("Q4", 2): (12098.7222, 25, 143, 792, 25, 280),
-    ("Q5", 1): (38.835242, 10, 25, 43, 10, 53),
-    ("Q5", 2): (140.62639178000003, 25, 185, 1143, 25, 261),
-    ("Q6", 1): (10.401012, 10, 25, 43, 10, 53),
-    ("Q6", 2): (18.40309178, 25, 185, 1143, 25, 261),
-    ("Q7", 1): (39.536365999999994, 26, 134, 629, 26, 180),
-    ("Q7", 2): (140.64242651, 111, 2441, 47753, 111, 2645),
-    ("Q8", 1): (11.102136, 26, 134, 629, 26, 180),
-    ("Q8", 2): (18.419126510000005, 111, 2441, 47753, 111, 2645),
+    ("Q1", 1): (73.46755999999999, 5, 6, 2, 5),
+    ("Q1", 2): (611.7222, 9, 15, 11, 9),
+    ("Q2", 1): (73.46755999999999, 5, 6, 2, 5),
+    ("Q2", 2): (611.7222, 9, 15, 11, 9),
+    ("Q3", 1): (3230.46756, 10, 23, 44, 10),
+    ("Q3", 2): (12098.7222, 25, 143, 792, 25),
+    ("Q4", 1): (3230.46756, 10, 23, 44, 10),
+    ("Q4", 2): (12098.7222, 25, 143, 792, 25),
+    ("Q5", 1): (38.835242, 10, 25, 43, 10),
+    ("Q5", 2): (140.62639178000003, 25, 185, 1143, 25),
+    ("Q6", 1): (10.401012, 10, 25, 43, 10),
+    ("Q6", 2): (18.40309178, 25, 185, 1143, 25),
+    ("Q7", 1): (39.536365999999994, 26, 134, 629, 26),
+    ("Q7", 2): (140.64242651, 111, 2441, 47753, 111),
+    ("Q8", 1): (11.102136, 26, 134, 629, 26),
+    ("Q8", 2): (18.419126510000005, 111, 2441, 47753, 111),
 }
 
 # Wider join graphs, where transformation closure is deep enough that a
 # rule application lost to pruning would change the memo: 1-2 join rows
 # cannot see it.  Same columns as OODB_GOLDEN; instance 0 throughout.
 WIDE_GOLDEN = {
-    ("Q1", 4): (1820.3618999999999, 21, 73, 113, 21, 172),
-    ("Q1", 6): (2772.1338, 44, 387, 1122, 44, 595),
-    ("star", 4): (11119.1443, 28, 124, 208, 28, 272),
-    ("star", 5): (1221.42855, 69, 784, 2142, 69, 1219),
+    ("Q1", 4): (1820.3618999999999, 21, 73, 113, 21),
+    ("Q1", 6): (2772.1338, 44, 387, 1122, 44),
+    ("star", 4): (11119.1443, 28, 124, 208, 28),
+    ("star", 5): (1221.42855, 69, 784, 2142, 69),
 }
 
-RELATIONAL_3WAY_GOLDEN = (855.3295199263462, 9, 15, 11, 16, 46)
+RELATIONAL_3WAY_GOLDEN = (855.3295199263462, 9, 15, 11, 16)
 
 OODB_EXPLAIN = {
     ("Q1", 1): """\
@@ -249,7 +248,6 @@ def _outcome(result):
         stats.mexprs,
         stats.trans_fired,
         stats.winners_cached,
-        stats.memo_descriptor_objects,
     )
 
 
