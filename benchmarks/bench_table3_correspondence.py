@@ -4,7 +4,9 @@ The paper's table is a design statement; here it is *derived*: for the
 Open-OODB rule set, P2V's analysis decides which Prairie elements become
 which Volcano elements (enforcer-operators disappear, enforcer-
 algorithms become enforcers, Null disappears, the single descriptor
-splits into operator/algorithm argument + physical property + cost).
+splits into operator/algorithm argument + physical property + cost, and
+the stream properties the T-rules derive from their inputs become
+Volcano logical properties).
 """
 
 from repro.bench.reporting import format_table
@@ -36,6 +38,7 @@ def bench_table3_correspondence(benchmark, oodb_pair, report):
         target = {
             "cost": "Cost",
             "physical": "Physical property",
+            "derived": "Logical property",
             "argument": "Operator/Algorithm argument",
         }[kind]
         rows.append((f"Descriptor property {prop}", target))

@@ -38,77 +38,48 @@ Quickstart::
     print(result.cost, result.equivalence_classes)
 """
 
-from repro.algebra import (
-    Algorithm,
-    Descriptor,
-    DescriptorSchema,
-    DONT_CARE,
-    Expression,
-    Operator,
-    PropertyDef,
-    PropertyType,
-    StoredFileRef,
-)
-from repro.catalog import Catalog, IndexInfo, StoredFileInfo
-from repro.engine import Database, execute_plan, naive_evaluate
-from repro.errors import PrairieError
-from repro.optimizers import (
-    build_oodb_prairie,
-    build_oodb_volcano,
-    build_relational_prairie,
-    build_relational_volcano,
-)
-from repro.prairie import IRule, PrairieRuleSet, TRule
-from repro.prairie.dsl import compile_spec, parse_spec
-from repro.prairie.translate import translate, translate_to_volcano
-from repro.volcano import (
-    BottomUpOptimizer,
-    OptimizationResult,
-    SearchOptions,
-    VolcanoOptimizer,
-    VolcanoRuleSet,
-    explain,
-    normalize_query,
-)
-from repro.workloads import TreeBuilder
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Algorithm",
-    "BottomUpOptimizer",
-    "SearchOptions",
-    "explain",
-    "normalize_query",
-    "Catalog",
-    "Database",
-    "Descriptor",
-    "DescriptorSchema",
-    "DONT_CARE",
-    "Expression",
-    "IndexInfo",
-    "IRule",
-    "OptimizationResult",
-    "Operator",
-    "PrairieError",
-    "PrairieRuleSet",
-    "PropertyDef",
-    "PropertyType",
-    "StoredFileInfo",
-    "StoredFileRef",
-    "TreeBuilder",
-    "TRule",
-    "VolcanoOptimizer",
-    "VolcanoRuleSet",
-    "build_oodb_prairie",
-    "build_oodb_volcano",
-    "build_relational_prairie",
-    "build_relational_volcano",
-    "compile_spec",
-    "execute_plan",
-    "naive_evaluate",
-    "parse_spec",
-    "translate",
-    "translate_to_volcano",
-    "__version__",
-]
+_EXPORTS = {
+    "Algorithm": "repro.algebra",
+    "Descriptor": "repro.algebra",
+    "DescriptorSchema": "repro.algebra",
+    "DONT_CARE": "repro.algebra",
+    "Expression": "repro.algebra",
+    "Operator": "repro.algebra",
+    "PropertyDef": "repro.algebra",
+    "PropertyType": "repro.algebra",
+    "StoredFileRef": "repro.algebra",
+    "Catalog": "repro.catalog",
+    "IndexInfo": "repro.catalog",
+    "StoredFileInfo": "repro.catalog",
+    "Database": "repro.engine.executor",
+    "execute_plan": "repro.engine.executor",
+    "naive_evaluate": "repro.engine.executor",
+    "PrairieError": "repro.errors",
+    "build_oodb_prairie": "repro.optimizers.oodb",
+    "build_oodb_volcano": "repro.optimizers.oodb_volcano",
+    "build_relational_prairie": "repro.optimizers.relational",
+    "build_relational_volcano": "repro.optimizers.relational_volcano",
+    "IRule": "repro.prairie.rules",
+    "TRule": "repro.prairie.rules",
+    "PrairieRuleSet": "repro.prairie.ruleset",
+    "compile_spec": "repro.prairie.dsl.parser",
+    "parse_spec": "repro.prairie.dsl.parser",
+    "translate": "repro.prairie.translate",
+    "translate_to_volcano": "repro.prairie.translate",
+    "BottomUpOptimizer": "repro.volcano.bottomup",
+    "OptimizationResult": "repro.volcano.search",
+    "SearchOptions": "repro.volcano.search",
+    "VolcanoOptimizer": "repro.volcano.search",
+    "VolcanoRuleSet": "repro.volcano.model",
+    "explain": "repro.volcano.explain",
+    "normalize_query": "repro.volcano.normalize",
+    "TreeBuilder": "repro.workloads.trees",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS, "__version__"]

@@ -15,25 +15,20 @@ to 3-way) in *full* mode; by default a reduced *quick* mode runs so that
 for the full sweep.
 """
 
-from repro.bench.harness import (
-    ExperimentConfig,
-    OptimizerPair,
-    QueryPoint,
-    build_optimizer_pair,
-    run_query_point,
-    sweep_query,
-)
-from repro.bench.reporting import format_table, print_series
-from repro.bench.timing import time_callable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "OptimizerPair",
-    "QueryPoint",
-    "build_optimizer_pair",
-    "run_query_point",
-    "sweep_query",
-    "format_table",
-    "print_series",
-    "time_callable",
-]
+_EXPORTS = {
+    "ExperimentConfig": "repro.bench.harness",
+    "OptimizerPair": "repro.bench.harness",
+    "QueryPoint": "repro.bench.harness",
+    "build_optimizer_pair": "repro.bench.harness",
+    "run_query_point": "repro.bench.harness",
+    "sweep_query": "repro.bench.harness",
+    "format_table": "repro.bench.reporting",
+    "print_series": "repro.bench.reporting",
+    "time_callable": "repro.bench.timing",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.optimizers.oodb import build_oodb_prairie
-from repro.optimizers.oodb_volcano import build_oodb_volcano
 from repro.prairie.ruleset import PrairieRuleSet
 from repro.prairie.translate import TranslationResult, translate
 from repro.volcano.model import VolcanoRuleSet
@@ -82,25 +81,38 @@ class OptimizerPair:
 
 
 _PAIR_CACHE: dict = {}
+_TRANSLATION_CACHE: dict = {}
+
+
+def _translation(kind: str) -> "tuple[PrairieRuleSet, TranslationResult]":
+    """``kind``'s Prairie rule set and its P2V translation (cached)."""
+    cached = _TRANSLATION_CACHE.get(kind)
+    if cached is None:
+        if kind == "oodb":
+            prairie = build_oodb_prairie()
+        elif kind == "relational":
+            from repro.optimizers.relational import build_relational_prairie
+
+            prairie = build_relational_prairie()
+        else:
+            raise ValueError(f"unknown optimizer kind {kind!r}")
+        cached = _TRANSLATION_CACHE[kind] = (prairie, translate(prairie))
+    return cached
 
 
 def build_optimizer_pair(kind: str = "oodb") -> OptimizerPair:
     """Build (and cache) the rule-set pair for ``"oodb"`` or ``"relational"``."""
     if kind in _PAIR_CACHE:
         return _PAIR_CACHE[kind]
+    prairie, translation = _translation(kind)
     if kind == "oodb":
-        prairie = build_oodb_prairie()
-        hand = build_oodb_volcano()
-    elif kind == "relational":
-        from repro.optimizers.relational import build_relational_prairie
-        from repro.optimizers.relational_volcano import build_relational_volcano
-
-        prairie = build_relational_prairie()
-        hand = build_relational_volcano()
+        from repro.optimizers.oodb_volcano import build_oodb_volcano as build_hand
     else:
-        raise ValueError(f"unknown optimizer kind {kind!r}")
+        from repro.optimizers.relational_volcano import (
+            build_relational_volcano as build_hand,
+        )
     pair = OptimizerPair(
-        prairie=prairie, translation=translate(prairie), hand_coded=hand
+        prairie=prairie, translation=translation, hand_coded=build_hand()
     )
     _PAIR_CACHE[kind] = pair
     return pair
@@ -113,8 +125,10 @@ def generated_ruleset(kind: str = "oodb"):
     optimizer: rule sets hold generated code objects and cannot cross
     process boundaries, so :mod:`repro.parallel` workers rebuild them
     from the spec string ``"repro.bench.harness:generated_ruleset"``.
+    It translates the Prairie rule set only; the hand-coded twin is
+    built by :func:`build_optimizer_pair`, which shares this rule set.
     """
-    return build_optimizer_pair(kind).generated
+    return _translation(kind)[1].volcano
 
 
 def hand_coded_ruleset(kind: str = "oodb"):

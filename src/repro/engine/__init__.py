@@ -18,16 +18,15 @@ Components:
   search space returns the same multiset of rows.
 """
 
-from repro.engine.executor import (
-    Database,
-    execute_plan,
-    naive_evaluate,
-    rows_multiset,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Database",
-    "execute_plan",
-    "naive_evaluate",
-    "rows_multiset",
-]
+_EXPORTS = {
+    "Database": "repro.engine.executor",
+    "execute_plan": "repro.engine.executor",
+    "naive_evaluate": "repro.engine.executor",
+    "rows_multiset": "repro.engine.executor",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

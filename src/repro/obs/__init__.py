@@ -16,39 +16,29 @@ The EXPLAIN ANALYZE view over a collected trace lives with the other
 plan renderers: :func:`repro.volcano.explain.explain_trace`.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.export import read_jsonl, write_chrome_trace, write_jsonl
-from repro.obs.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    CollectingTracer,
-    CountingTracer,
-    JsonLinesTracer,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-    WorkerTracer,
-    event_dicts,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CollectingTracer",
-    "Counter",
-    "CountingTracer",
-    "Gauge",
-    "Histogram",
-    "JsonLinesTracer",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullTracer",
-    "TraceEvent",
-    "Tracer",
-    "WorkerTracer",
-    "event_dicts",
-    "read_jsonl",
-    "span",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+_EXPORTS = {
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "read_jsonl": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "write_jsonl": "repro.obs.export",
+    "NULL_SPAN": "repro.obs.tracer",
+    "NULL_TRACER": "repro.obs.tracer",
+    "CollectingTracer": "repro.obs.tracer",
+    "CountingTracer": "repro.obs.tracer",
+    "JsonLinesTracer": "repro.obs.tracer",
+    "NullTracer": "repro.obs.tracer",
+    "TraceEvent": "repro.obs.tracer",
+    "Tracer": "repro.obs.tracer",
+    "WorkerTracer": "repro.obs.tracer",
+    "event_dicts": "repro.obs.tracer",
+    "span": "repro.obs.tracer",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

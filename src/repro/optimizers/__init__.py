@@ -17,19 +17,18 @@ Shared pieces: :mod:`repro.optimizers.costmodel` (cost formulas),
 :mod:`repro.optimizers.schema` (the descriptor schema of Table 2).
 """
 
-from repro.optimizers.schema import make_schema, leaf_descriptor
-from repro.optimizers.relational import build_relational_prairie
-from repro.optimizers.relational_volcano import build_relational_volcano
-from repro.optimizers.relational_noncompact import build_relational_noncompact
-from repro.optimizers.oodb import build_oodb_prairie
-from repro.optimizers.oodb_volcano import build_oodb_volcano
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "make_schema",
-    "leaf_descriptor",
-    "build_relational_prairie",
-    "build_relational_volcano",
-    "build_relational_noncompact",
-    "build_oodb_prairie",
-    "build_oodb_volcano",
-]
+_EXPORTS = {
+    "make_schema": "repro.optimizers.schema",
+    "leaf_descriptor": "repro.optimizers.schema",
+    "build_relational_prairie": "repro.optimizers.relational",
+    "build_relational_volcano": "repro.optimizers.relational_volcano",
+    "build_relational_noncompact": "repro.optimizers.relational_noncompact",
+    "build_oodb_prairie": "repro.optimizers.oodb",
+    "build_oodb_volcano": "repro.optimizers.oodb_volcano",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -9,11 +9,13 @@ simple page-based scan costs driven by the catalog.
 
 All cardinality/size estimates are rounded to :data:`SIGNIFICANT_DIGITS`
 significant digits.  This matters for correctness, not cosmetics:
-estimated properties participate in memo-expression identity (they are
-operator arguments in the P2V classification), and rounding guarantees
-that two derivations of the same logical expression — whose floating-
-point products may differ in the last few ulps depending on rule order —
-still deduplicate to one memo expression.
+``num_records`` participates in memo-expression identity (cost sections
+read it, so the P2V classification keeps it an operator argument rather
+than a derived stream property), and rounding guarantees that two
+derivations of the same logical expression — whose floating-point
+products may differ in the last few ulps depending on rule order — still
+deduplicate to one memo expression.  ``tuple_size`` is derived and no
+longer in the identity, but is rounded the same way.
 """
 
 from __future__ import annotations

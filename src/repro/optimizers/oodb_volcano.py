@@ -33,6 +33,9 @@ from repro.prairie.helpers import union
 from repro.volcano.model import Enforcer, ImplRule, TransRule, VolcanoRuleSet
 
 PHYSICAL_PROPERTIES = ("tuple_order",)
+# Stream properties the trans_rules compute from their inputs' own values
+# and no cost function reads: not part of m-expr identity.
+DERIVED_PROPERTIES = ("attributes", "tuple_size")
 COST_PROPERTY = "cost"
 NO_REQUIREMENT = (DONT_CARE,)
 
@@ -837,7 +840,9 @@ def build_oodb_volcano() -> VolcanoRuleSet:
     argument = tuple(
         name
         for name in schema.names
-        if name not in PHYSICAL_PROPERTIES and name != COST_PROPERTY
+        if name not in PHYSICAL_PROPERTIES
+        and name not in DERIVED_PROPERTIES
+        and name != COST_PROPERTY
     )
     ruleset = VolcanoRuleSet(
         name="oodb (hand-coded Volcano)",
@@ -847,6 +852,7 @@ def build_oodb_volcano() -> VolcanoRuleSet:
         argument_properties=argument,
         cost_property=COST_PROPERTY,
         provenance="hand-coded",
+        derived_properties=DERIVED_PROPERTIES,
     )
 
     for op in (

@@ -39,6 +39,7 @@ from repro.volcano.model import Enforcer, ImplRule, TransRule, VolcanoRuleSet
 # from the Prairie specification; here the user owns it, and the paper's
 # point is that it silently changes as rules are added).
 PHYSICAL_PROPERTIES = ("tuple_order",)
+DERIVED_PROPERTIES = ("attributes", "tuple_size")
 COST_PROPERTY = "cost"
 NO_REQUIREMENT = (DONT_CARE,)
 
@@ -47,7 +48,9 @@ def _argument_properties(schema) -> tuple[str, ...]:
     return tuple(
         name
         for name in schema.names
-        if name not in PHYSICAL_PROPERTIES and name != COST_PROPERTY
+        if name not in PHYSICAL_PROPERTIES
+        and name not in DERIVED_PROPERTIES
+        and name != COST_PROPERTY
     )
 
 
@@ -336,6 +339,7 @@ def build_relational_volcano() -> VolcanoRuleSet:
         argument_properties=_argument_properties(schema),
         cost_property=COST_PROPERTY,
         provenance="hand-coded",
+        derived_properties=DERIVED_PROPERTIES,
     )
 
     ret = ruleset.declare_operator(Operator.on_file("RET"))

@@ -22,51 +22,34 @@ Layout:
   language.
 """
 
-from repro.prairie.actions import (
-    ActionBlock,
-    ActionEnv,
-    AssignDesc,
-    AssignProp,
-    BinOp,
-    Call,
-    DescRef,
-    Lit,
-    PropRef,
-    PyAction,
-    PyTest,
-    Test,
-    TestExpr,
-    TRUE_TEST,
-    UnaryOp,
-)
-from repro.prairie.helpers import HelperRegistry, default_helpers
-from repro.prairie.rules import IRule, TRule
-from repro.prairie.ruleset import PrairieRuleSet
-from repro.prairie.analysis import RuleSetAnalysis, analyse
-from repro.prairie.translate import translate_to_volcano
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActionBlock",
-    "ActionEnv",
-    "AssignDesc",
-    "AssignProp",
-    "BinOp",
-    "Call",
-    "DescRef",
-    "Lit",
-    "PropRef",
-    "PyAction",
-    "PyTest",
-    "Test",
-    "TestExpr",
-    "TRUE_TEST",
-    "UnaryOp",
-    "HelperRegistry",
-    "default_helpers",
-    "IRule",
-    "TRule",
-    "PrairieRuleSet",
-    "RuleSetAnalysis",
-    "analyse",
-    "translate_to_volcano",
-]
+_EXPORTS = {
+    "ActionBlock": "repro.prairie.actions",
+    "ActionEnv": "repro.prairie.actions",
+    "AssignDesc": "repro.prairie.actions",
+    "AssignProp": "repro.prairie.actions",
+    "BinOp": "repro.prairie.actions",
+    "Call": "repro.prairie.actions",
+    "DescRef": "repro.prairie.actions",
+    "Lit": "repro.prairie.actions",
+    "PropRef": "repro.prairie.actions",
+    "PyAction": "repro.prairie.actions",
+    "PyTest": "repro.prairie.actions",
+    "Test": "repro.prairie.actions",
+    "TestExpr": "repro.prairie.actions",
+    "TRUE_TEST": "repro.prairie.actions",
+    "UnaryOp": "repro.prairie.actions",
+    "HelperRegistry": "repro.prairie.helpers",
+    "default_helpers": "repro.prairie.helpers",
+    "IRule": "repro.prairie.rules",
+    "TRule": "repro.prairie.rules",
+    "PrairieRuleSet": "repro.prairie.ruleset",
+    "RuleSetAnalysis": "repro.prairie.analysis",
+    "analyse": "repro.prairie.analysis",
+    "translate_to_volcano": "repro.prairie.translate",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -126,7 +126,9 @@ def format_volcano_spec(result: TranslationResult) -> str:
 
     The rendering mirrors what the paper's P2V emitted for the real
     Volcano generator: the model declaration with the derived property
-    classification, one ``trans_rule`` per T-rule with ``cond_code`` and
+    classification (derived stream properties get ``derived_property``
+    lines; the ``argument_property`` lines are the m-expr identity), one
+    ``trans_rule`` per T-rule with ``cond_code`` and
     ``appl_code`` sections, one ``impl_rule`` per I-rule with the four
     generated support functions spelled out, and the enforcers.
     """
@@ -140,6 +142,8 @@ def format_volcano_spec(result: TranslationResult) -> str:
     ]
     for prop in analysis.physical_properties:
         out.append(f"physical_property  {prop};")
+    for prop in analysis.derived_properties:
+        out.append(f"derived_property   {prop};")
     for prop in analysis.argument_properties:
         out.append(f"argument_property  {prop};")
     out.append("")

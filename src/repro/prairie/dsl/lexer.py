@@ -1,19 +1,29 @@
 """Tokenizer for the Prairie specification language.
 
-A hand-written scanner (the paper used flex).  Produces a flat token
-stream with line/column positions for error reporting.  Notable choices:
+One compiled master regular expression (the paper used flex): each
+alternative is one token class, tried in a fixed order at the current
+offset, so the first alternative that matches decides the token, as the
+rule order of a flex scanner does.  Produces a flat token stream with
+line/column positions for error reporting.  Notable choices:
 
 * ``{{`` and ``}}`` are single tokens (action-block delimiters, as in the
   paper's figures); single braces are not used by the grammar.
 * Comments: ``//`` and ``#`` to end of line, ``/* … */`` block comments.
 * Keywords are recognized case-sensitively; ``TRUE``, ``FALSE`` and
   ``DONT_CARE`` are literal tokens.
+* Names start with a letter or ``_`` and continue with letters, digits
+  and ``_``; numbers are decimal digits with at most one ``.`` followed
+  by a digit.  Both follow Python's Unicode character classes.
+* Only newlines between tokens and inside block comments start a new
+  line; a backslash-escaped newline inside a string literal advances the
+  column, and a line comment leaves the column where it started.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import DslSyntaxError
 
@@ -54,27 +64,53 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators first so maximal munch works.
-_OPERATORS = (
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "!",
+_PUNCTUATION = {
+    "{{": TokenKind.LBRACE2,
+    "}}": TokenKind.RBRACE2,
+    "=>": TokenKind.ARROW,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ";": TokenKind.SEMI,
+    ":": TokenKind.COLON,
+    ".": TokenKind.DOT,
+    "?": TokenKind.QMARK,
+    "=": TokenKind.ASSIGN,
+}
+
+_WORDS = {
+    "TRUE": TokenKind.TRUE,
+    "FALSE": TokenKind.FALSE,
+    "DONT_CARE": TokenKind.DONT_CARE,
+    **{word: TokenKind.KEYWORD for word in KEYWORDS},
+}
+
+# Alternatives in priority order.  Operators sit between the two-character
+# delimiters and the single-character punctuation, so ``=>`` beats ``==``
+# beats ``=``, and multi-character operators come first (maximal munch).
+_MASTER = re.compile(
+    r"""
+      (?P<newline>   \n )
+    | (?P<space>     [ \t\r]+ )
+    | (?P<comment>   (?: \# | // ) [^\n]* )
+    | (?P<block>     /\* .*? \*/ )
+    | (?P<open_block> /\* )
+    | (?P<punct2>    \{\{ | \}\} | => )
+    | (?P<op>        == | != | <= | >= | && | \|\| | [<>+\-*/%!] )
+    | (?P<punct>     [(),;:.?=] )
+    | (?P<string>    " (?: [^"\\\n] | \\. )* " )
+    | (?P<open_string> " )
+    | (?P<number>    \d+ (?: \.\d+ )? )
+    | (?P<word>      (?!\d)\w+ )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token; a named tuple because a spec holds thousands of them."""
+
     kind: TokenKind
     text: str
     line: int
@@ -87,154 +123,55 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Scan ``source`` into a token list ending with an EOF token."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    name_kind = TokenKind.NAME
+    words = _WORDS
     i = 0
     line = 1
     col = 1
     n = len(source)
-
-    def error(message: str) -> DslSyntaxError:
-        return DslSyntaxError(message, line, col)
-
     while i < n:
-        ch = source[i]
-
-        # -- whitespace ----------------------------------------------------
-        if ch == "\n":
-            i += 1
+        m = match(source, i)
+        group = m.lastgroup if m is not None else None
+        if group is None or (
+            group == "word" and not (source[i].isalpha() or source[i] == "_")
+        ):
+            raise DslSyntaxError(f"unexpected character {source[i]!r}", line, col)
+        text = m.group()
+        i = m.end()
+        if group == "word":
+            append(Token(words.get(text, name_kind), text, line, col))
+        elif group == "space":
+            pass
+        elif group == "newline":
             line += 1
             col = 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        elif group == "punct" or group == "punct2":
+            append(Token(_PUNCTUATION[text], text, line, col))
+        elif group == "op":
+            append(Token(TokenKind.OP, text, line, col))
+        elif group == "number":
+            append(Token(TokenKind.NUMBER, text, line, col))
+        elif group == "string":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(r"\1", body)
+            append(Token(TokenKind.STRING, body, line, col))
+        elif group == "comment":
             continue
-
-        # -- comments --------------------------------------------------------
-        if ch == "#" or source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            skipped = source[i : end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-
-        start_line, start_col = line, col
-
-        # -- block delimiters ----------------------------------------------
-        if source.startswith("{{", i):
-            tokens.append(Token(TokenKind.LBRACE2, "{{", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if source.startswith("}}", i):
-            tokens.append(Token(TokenKind.RBRACE2, "}}", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if source.startswith("=>", i):
-            tokens.append(Token(TokenKind.ARROW, "=>", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-
-        # -- operators (before '=' so '==' wins) ------------------------------
-        matched_op = None
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                matched_op = op
-                break
-        if matched_op is not None:
-            tokens.append(Token(TokenKind.OP, matched_op, start_line, start_col))
-            i += len(matched_op)
-            col += len(matched_op)
-            continue
-
-        # -- single-character punctuation -------------------------------------
-        singles = {
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            ",": TokenKind.COMMA,
-            ";": TokenKind.SEMI,
-            ":": TokenKind.COLON,
-            ".": TokenKind.DOT,
-            "?": TokenKind.QMARK,
-            "=": TokenKind.ASSIGN,
-        }
-        if ch in singles:
-            tokens.append(Token(singles[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        # -- string literals ---------------------------------------------------
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise error("unterminated string literal")
-                if source[j] == "\\" and j + 1 < n:
-                    buf.append(source[j + 1])
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise error("unterminated string literal")
-            text = "".join(buf)
-            tokens.append(Token(TokenKind.STRING, text, start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-
-        # -- numbers -----------------------------------------------------------
-        if ch.isdigit():
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # A trailing dot followed by a non-digit is punctuation.
-                    if j + 1 >= n or not source[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            text = source[i:j]
-            tokens.append(Token(TokenKind.NUMBER, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        # -- names / keywords / literal words ------------------------------------
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            if text == "TRUE":
-                kind = TokenKind.TRUE
-            elif text == "FALSE":
-                kind = TokenKind.FALSE
-            elif text == "DONT_CARE":
-                kind = TokenKind.DONT_CARE
-            elif text in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            else:
-                kind = TokenKind.NAME
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        raise error(f"unexpected character {ch!r}")
+        elif group == "block":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                col = len(text) - text.rfind("\n")
+                continue
+        elif group == "open_block":
+            raise DslSyntaxError("unterminated block comment", line, col)
+        else:  # open_string
+            raise DslSyntaxError("unterminated string literal", line, col)
+        col += len(text)
 
     tokens.append(Token(TokenKind.EOF, "", line, col))
     return tokens

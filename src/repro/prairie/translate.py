@@ -9,8 +9,10 @@ search engine executes efficiently.  The translation (paper Section 3):
 2. **Rule merging** — enforcer-operators are spliced out of T-rules;
    identity/renaming rules are deleted and their requirement assignments
    folded into I-rules (:mod:`repro.prairie.merge`).
-3. **Property classification** — cost / physical / operator-algorithm
-   argument, derived from the merged rules (:mod:`repro.prairie.analysis`).
+3. **Property classification** — cost / physical / derived stream
+   property / operator-algorithm argument, derived from the merged rules
+   (:mod:`repro.prairie.analysis`).  The argument properties become the
+   engine's m-expr identity.
 4. **Rule translation** — T-rules become trans_rules (pre-test + test →
    cond_code, post-test → appl_code); I-rules become impl_rules, with the
    four Volcano per-algorithm helper functions (``do_any_good``,
@@ -83,6 +85,7 @@ def translate(
         cost_properties=ruleset.schema.cost_properties(),
         physical_properties=(),
         argument_properties=(),
+        derived_properties=(),
         enforcer_operators=enforcer_ops,
         enforcer_algorithms=(),
     )
@@ -96,6 +99,7 @@ def translate(
                 *merged.enforcer_i_rules,
                 *merged.null_i_rules,
             ],
+            t_rules=merged.t_rules,
         )
 
     volcano = VolcanoRuleSet(
@@ -106,6 +110,7 @@ def translate(
         argument_properties=analysis.argument_properties,
         cost_property=analysis.cost_property,
         provenance="p2v-generated",
+        derived_properties=analysis.derived_properties,
     )
 
     aliased = set(merged.report.operator_aliases)

@@ -26,60 +26,42 @@ This package reimplements the relevant Volcano machinery in Python:
   searching.
 """
 
-from repro.volcano.properties import (
-    PropertyVector,
-    dont_care_vector,
-    satisfies,
-    vector_of,
-)
-from repro.volcano.memo import Group, Memo, MExpr
-from repro.volcano.model import (
-    Enforcer,
-    ImplRule,
-    TransRule,
-    VolcanoRuleSet,
-)
-from repro.volcano.search import (
-    OptimizationResult,
-    OptimizerContext,
-    SearchOptions,
-    SearchStats,
-    VolcanoOptimizer,
-)
-from repro.volcano.bottomup import BottomUpOptimizer
+from repro._lazy import lazy_exports
+
+# ``explain`` names both a submodule and its main function: importing the
+# submodule binds the module under that name, so the function is bound
+# eagerly, after the submodule import, as it always was.
 from repro.volcano.explain import (
     explain,
     explain_memo,
     explain_plan,
     explain_trace,
 )
-from repro.volcano.normalize import normalize_query, optimize_normalized
-from repro.volcano.plancache import PlanCache, tree_fingerprint
 
-__all__ = [
-    "BottomUpOptimizer",
-    "PlanCache",
-    "tree_fingerprint",
-    "SearchOptions",
-    "explain",
-    "explain_memo",
-    "explain_plan",
-    "explain_trace",
-    "normalize_query",
-    "optimize_normalized",
-    "PropertyVector",
-    "dont_care_vector",
-    "satisfies",
-    "vector_of",
-    "Group",
-    "Memo",
-    "MExpr",
-    "Enforcer",
-    "ImplRule",
-    "TransRule",
-    "VolcanoRuleSet",
-    "OptimizationResult",
-    "OptimizerContext",
-    "SearchStats",
-    "VolcanoOptimizer",
-]
+_EXPORTS = {
+    "PropertyVector": "repro.volcano.properties",
+    "dont_care_vector": "repro.volcano.properties",
+    "satisfies": "repro.volcano.properties",
+    "vector_of": "repro.volcano.properties",
+    "Group": "repro.volcano.memo",
+    "Memo": "repro.volcano.memo",
+    "MExpr": "repro.volcano.memo",
+    "Enforcer": "repro.volcano.model",
+    "ImplRule": "repro.volcano.model",
+    "TransRule": "repro.volcano.model",
+    "VolcanoRuleSet": "repro.volcano.model",
+    "OptimizationResult": "repro.volcano.search",
+    "OptimizerContext": "repro.volcano.search",
+    "SearchOptions": "repro.volcano.search",
+    "SearchStats": "repro.volcano.search",
+    "VolcanoOptimizer": "repro.volcano.search",
+    "BottomUpOptimizer": "repro.volcano.bottomup",
+    "normalize_query": "repro.volcano.normalize",
+    "optimize_normalized": "repro.volcano.normalize",
+    "PlanCache": "repro.volcano.plancache",
+    "tree_fingerprint": "repro.volcano.plancache",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*_EXPORTS, "explain", "explain_memo", "explain_plan", "explain_trace"]

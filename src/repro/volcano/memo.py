@@ -14,10 +14,16 @@ query size; :attr:`Memo.group_count` is exactly that number.
 Identity & duplicate elimination
 --------------------------------
 Two m-exprs are the same logical expression iff they apply the same
-operator to the same input groups with the same *operator argument*
-(the P2V-classified argument part of the descriptor — e.g. the join
-predicate, but not the requested tuple order).  The memo hashes this
-identity so transformation rules can fire to a fixpoint without looping.
+operator to the same input groups with the same *operator argument*:
+the descriptor projected onto the rule set's ``argument_properties``
+(e.g. the join predicate and the cardinality estimate).  The other
+three property classes stay out of the key: the cost, the physical
+properties (the requested tuple order) and the *derived stream
+properties* (``attributes``, ``tuple_size``), which P2V infers because
+T-rules compute them from the inputs' own values.  Two derivation paths
+may list a join's attributes in different orders; they still reach one
+m-expr.  The memo hashes this identity so transformation rules can fire
+to a fixpoint without looping.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ class MExpr:
     ``op_name`` is an operator name for interior expressions and the file
     name for leaves (``is_file`` distinguishes them).  ``descriptor`` is
     the expression's full Prairie descriptor: argument properties give the
-    expression its identity; stream-describing properties (cardinalities,
-    attributes) inform cost functions.
+    expression its identity (:meth:`key`); derived stream properties
+    (attributes, tuple size) describe its output and are read through the
+    group's logical descriptor.
 
     ``fired_mask`` is search-engine bookkeeping: a bitmask over the rule
     set's dense trans-rule ids recording which rules already fired on this
@@ -72,7 +79,8 @@ class Group:
     ``logical_descriptor`` describes the stream every member produces
     (attributes, cardinality…) — by definition of logical equivalence it
     is shared by all members; the memo takes it from the first inserted
-    member.  ``winners`` caches the best physical plan found per required
+    member, so its derived properties (say, the order ``attributes``
+    lists the columns in) are those of the first derivation.  ``winners`` caches the best physical plan found per required
     physical-property vector (filled in by the search engine).
 
     ``by_op`` indexes the members by operator name (maintained by

@@ -289,7 +289,10 @@ class VolcanoRuleSet:
 
     Produced either by hand (the paper's baseline approach) or by the P2V
     pre-processor from a Prairie rule set.  ``provenance`` records which,
-    for the comparison benchmarks.
+    for the comparison benchmarks.  Every schema property belongs to one
+    of four classes: the cost property, ``physical_properties``,
+    ``derived_properties`` or ``argument_properties`` (see
+    :mod:`repro.prairie.analysis`).
     """
 
     def __init__(
@@ -301,12 +304,18 @@ class VolcanoRuleSet:
         argument_properties: tuple[str, ...],
         cost_property: str,
         provenance: str = "hand-coded",
+        derived_properties: tuple[str, ...] = (),
     ) -> None:
         self.name = name
         self.schema = schema
         self.helpers = helpers
         self.physical_properties = physical_properties
+        # The m-expr identity: the memo key and the plan-cache fingerprint
+        # project descriptors onto these.
         self.argument_properties = argument_properties
+        # Stream properties derived from the inputs (attributes, tuple
+        # size): carried on descriptors, left out of the identity.
+        self.derived_properties = derived_properties
         self.cost_property = cost_property
         self.provenance = provenance
         self.operators: dict[str, Operator] = {}

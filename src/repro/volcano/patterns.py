@@ -14,8 +14,10 @@ emits Python source that
   and ``appl_code`` run under the environment contract every rule set
   is written against, hand-coded or generated by P2V;
 * builds the right-hand side inline in post-order: each node's identity
-  key is probed in the memo's duplicate-elimination index before any
-  descriptor is copied; a new node is inserted with
+  key (operator, input groups and argument-property projection, the
+  :meth:`~repro.volcano.memo.MExpr.key` tuple) is probed in the memo's
+  duplicate-elimination index before any descriptor is copied; a new
+  node is inserted with
   ``allow_cross_group`` (the fired rule proves the two groups
   equivalent), and a brand-new group is explored at once, so every
   variant of an equivalence class lands in one group;

@@ -66,7 +66,10 @@ def tree_fingerprint(
     argument-property projection of the node's descriptor, recursively;
     stored files are identified by name alone.  Physical annotations
     (costs, orders) are deliberately excluded — they are outputs of
-    optimization, not part of the query's identity.
+    optimization, not part of the query's identity — and so are derived
+    stream properties (``attributes``, ``tuple_size``), which the tree's
+    files and operator arguments determine within one catalog; entries
+    are validated against their catalog on every lookup.
     """
     if isinstance(tree, StoredFileRef):
         return ("file", tree.name)

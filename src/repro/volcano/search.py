@@ -267,6 +267,8 @@ class VolcanoOptimizer:
         self.context = OptimizerContext(catalog=catalog, ruleset=ruleset)
         # What the generated trans_rule functions (TransRule.fire, see
         # repro.volcano.patterns) read from the engine, in one tuple.  The
+        # argument properties are the m-expr identity the memo keys on
+        # (derived stream properties are not in it).  The
         # last entry is the identity of a default-valued descriptor: most
         # right-side descriptors are never touched by the rule's actions,
         # so their memo identity is this schema-wide constant.

@@ -6,8 +6,9 @@ from repro.algebra.operations import Algorithm, Operator
 from repro.algebra.properties import DescriptorSchema, PropertyDef, PropertyType
 from repro.errors import TranslationError
 from repro.prairie.analysis import analyse
-from repro.prairie.build import assign, block, copy_desc, lit, node, prop, var
-from repro.prairie.rules import IRule
+from repro.prairie.actions import PyAction
+from repro.prairie.build import add, assign, block, copy_desc, lit, mul, node, prop, var
+from repro.prairie.rules import IRule, TRule
 from repro.prairie.ruleset import PrairieRuleSet
 
 
@@ -123,6 +124,122 @@ class TestClassification:
             analyse(rs)
 
 
+def stream_schema():
+    return DescriptorSchema(
+        [
+            PropertyDef("width", PropertyType.FLOAT),
+            PropertyDef("num_records", PropertyType.FLOAT),
+            PropertyDef("join_predicate", PropertyType.PREDICATE),
+            PropertyDef("cost", PropertyType.COST),
+        ]
+    )
+
+
+def stream_ruleset(*t_rule_blocks):
+    """JOIN over two streams: one commute T-rule per post-test block, and
+    a nested-loops I-rule whose cost reads ``num_records``."""
+    rs = PrairieRuleSet("streams", stream_schema())
+    rs.declare_operator(Operator.streams("JOIN", 2))
+    rs.declare_algorithm(Algorithm.streams("Nested_loops", 2))
+    for index, post_test in enumerate(t_rule_blocks):
+        rs.add_trule(
+            TRule(
+                name=f"commute_{index}",
+                lhs=node("JOIN", var("S1", "DL1"), var("S2", "DL2"), desc="D1"),
+                rhs=node("JOIN", var("S2"), var("S1"), desc="D2"),
+                post_test=post_test,
+            )
+        )
+    rs.add_irule(
+        IRule(
+            name="join_nl",
+            lhs=node("JOIN", var("S1", "D1"), var("S2", "D2"), desc="D3"),
+            rhs=node("Nested_loops", var("S1"), var("S2"), desc="D4"),
+            pre_opt=block(copy_desc("D4", "D3")),
+            post_opt=block(
+                assign(
+                    "D4",
+                    "cost",
+                    add(prop("D1", "cost"), mul(prop("D1", "num_records"), prop("D2", "cost"))),
+                )
+            ),
+        )
+    )
+    return rs
+
+
+DERIVING_BLOCK = block(
+    copy_desc("D2", "D1"),
+    assign("D2", "width", add(prop("DL2", "width"), prop("DL1", "width"))),
+    assign(
+        "D2", "num_records", mul(prop("DL2", "num_records"), prop("DL1", "num_records"))
+    ),
+    assign("D2", "join_predicate", prop("D1", "join_predicate")),
+)
+
+
+class TestDerivedProperties:
+    def test_input_derived_and_unread_by_cost_is_derived(self):
+        analysis = analyse(stream_ruleset(DERIVING_BLOCK))
+        assert analysis.derived_properties == ("width",)
+        assert analysis.classify("width") == "derived"
+
+    def test_cost_read_property_stays_an_argument(self):
+        # num_records is computed from the inputs, but the cost reads it.
+        analysis = analyse(stream_ruleset(DERIVING_BLOCK))
+        assert analysis.argument_properties == ("num_records", "join_predicate")
+
+    def test_write_from_operator_descriptor_is_not_derived(self):
+        # D1 is the rewritten operator's own descriptor, not an input.
+        analysis = analyse(stream_ruleset(DERIVING_BLOCK))
+        assert analysis.classify("join_predicate") == "argument"
+
+    def test_one_non_input_write_disqualifies(self):
+        other = block(assign("D2", "width", prop("D1", "width")))
+        analysis = analyse(stream_ruleset(DERIVING_BLOCK, other))
+        assert analysis.derived_properties == ()
+
+    def test_write_must_read_the_same_property(self):
+        other = block(assign("D2", "width", prop("DL1", "num_records")))
+        analysis = analyse(stream_ruleset(DERIVING_BLOCK, other))
+        assert analysis.derived_properties == ()
+
+    def test_never_written_property_is_not_derived(self):
+        analysis = analyse(stream_ruleset(block(copy_desc("D2", "D1"))))
+        assert analysis.derived_properties == ()
+
+    def test_python_action_leaves_nothing_derived(self):
+        opaque = block(PyAction(lambda env: None, writes=(("D2", "width"),)))
+        analysis = analyse(stream_ruleset(DERIVING_BLOCK, opaque))
+        assert analysis.derived_properties == ()
+
+    def test_oodb_spec_derives_attributes_and_tuple_size(self, oodb_translation):
+        analysis = oodb_translation.analysis
+        assert analysis.derived_properties == ("attributes", "tuple_size")
+        assert analysis.classify("num_records") == "argument"
+        volcano = oodb_translation.volcano
+        assert volcano.derived_properties == ("attributes", "tuple_size")
+        assert "attributes" not in volcano.argument_properties
+
+    @pytest.mark.parametrize(
+        "generated,hand",
+        [
+            ("oodb_volcano_generated", "oodb_volcano_hand"),
+            ("relational_volcano_generated", "relational_volcano_hand"),
+        ],
+    )
+    def test_hand_coded_sets_declare_the_p2v_classes(self, request, generated, hand):
+        gen = request.getfixturevalue(generated)
+        hand = request.getfixturevalue(hand)
+        for attr in (
+            "cost_property",
+            "physical_properties",
+            "derived_properties",
+            "argument_properties",
+        ):
+            assert getattr(hand, attr) == getattr(gen, attr), attr
+
+
 class TestEnforcerDetection:
     def test_null_rule_marks_enforcer_operator(self):
         analysis = analyse(make_ruleset())
@@ -150,6 +267,7 @@ class TestReporting:
             "cost",
             "physical",
             "argument",
+            "derived",
             "enforcer_operators",
             "enforcer_algorithms",
         }

@@ -75,6 +75,9 @@ class TestVolcanoSpec:
         text = format_volcano_spec(oodb_translation)
         assert "cost_property" in text
         assert "physical_property  tuple_order;" in text
+        assert "derived_property   attributes;" in text
+        assert "derived_property   tuple_size;" in text
+        assert "argument_property  num_records;" in text
         assert text.count("trans_rule ") == 17
         assert text.count("impl_rule ") == 9
         assert text.count("enforcer ") == 1

@@ -454,21 +454,20 @@ class TestSearchOptionBudgets:
             catalog,
             options=SearchOptions(max_mexprs=40),
         ).optimize(tree)
-        assert result.cost == 209.14132248
-        assert result.stats.mexprs == 45
+        assert result.cost == 168.78132248000003
+        assert result.stats.mexprs == 44
         assert explain(result, verbose=False) == """\
--> Filter  (rows≈0, cost=209.14)  [filter: a1 = 1]
-  -> Hash_join  (rows≈2, cost=209.13)  [join on: b1 = b2]
+-> Filter  (rows≈0, cost=168.78)  [filter: a1 = 1]
+  -> Hash_join  (rows≈2, cost=168.77)  [join on: b1 = b2]
     -> File_scan  (rows≈2824, cost=34.47)
       -> C1 (stored file)
-    -> Hash_join  (rows≈0, cost=146.41)  [join on: b2 = b3]
+    -> Hash_join  (rows≈0, cost=106.05)  [join on: b2 = b3]
       -> File_scan  (rows≈10, cost=56.48)  [filter: a3 = 3]
         -> C3 (stored file)
-      -> Filter  (rows≈10, cost=89.63)  [filter: a2 = 2]
-        -> File_scan  (rows≈4036, cost=49.27)
-          -> C2 (stored file)
+      -> File_scan  (rows≈10, cost=49.27)  [filter: a2 = 2]
+        -> C2 (stored file)
 
-total estimated cost: 209.14"""
+total estimated cost: 168.78"""
 
     def test_stats_dict_reports_cache_counters(
         self, schema, oodb_volcano_generated
