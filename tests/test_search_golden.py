@@ -11,11 +11,20 @@ derived stream properties (``attributes``, ``tuple_size``) left the
 m-expr identity: one logical expression reached by two derivation paths
 stopped counting as two m-exprs.  Costs, groups, ``winners_cached`` and
 every EXPLAIN text stayed as recorded before.
+
+``ENFORCER_GOLDEN`` pins the enforcer path, which unordered requests never
+reach: OODB searches with an ordered root, on both the generated and the
+hand-coded rule set.  It was recorded while the engine still applied impl
+rules and enforcers through two separate methods.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro.bench.harness import build_optimizer_pair
 from repro.catalog.predicates import equals_attr
+from repro.obs.tracer import CollectingTracer
 from repro.volcano.explain import explain
 from repro.volcano.search import VolcanoOptimizer
 from repro.workloads.catalogs import make_experiment_catalog
@@ -295,3 +304,178 @@ def test_relational_3way_search_outcome(
     )
     assert _outcome(result) == RELATIONAL_3WAY_GOLDEN
     assert explain(result, verbose=False) == RELATIONAL_3WAY_EXPLAIN
+
+
+# Ordered root requests, which reach the enforcer path: OODB Q1-Q8 x 1-2
+# joins, instance 0, the root ordered on its first or its last attribute,
+# on the generated and the hand-coded rule set.  No OODB impl rule asks
+# its inputs for an order, so these requests are the only OODB searches
+# that apply enforcers.  Columns: (cost, impl_considered, impl_succeeded,
+# enforcer_applied, optimize_calls, winners_cached).
+ENFORCER_GOLDEN = {
+    ("generated", "Q1", 1, "first"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("generated", "Q1", 1, "last"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("generated", "Q1", 2, "first"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("generated", "Q1", 2, "last"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("generated", "Q2", 1, "first"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("generated", "Q2", 1, "last"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("generated", "Q2", 2, "first"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("generated", "Q2", 2, "last"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("generated", "Q3", 1, "first"): (4017.9780000520977, 48, 16, 4, 14, 14),
+    ("generated", "Q3", 1, "last"): (4017.9780000520977, 48, 13, 2, 14, 14),
+    ("generated", "Q3", 2, "first"): (114188.18487743592, 204, 42, 8, 33, 33),
+    ("generated", "Q3", 2, "last"): (114188.18487743592, 204, 34, 4, 33, 33),
+    ("generated", "Q4", 1, "first"): (4017.9780000520977, 48, 16, 4, 14, 14),
+    ("generated", "Q4", 1, "last"): (4017.9780000520977, 48, 13, 2, 14, 14),
+    ("generated", "Q4", 2, "first"): (114188.18487743592, 204, 42, 8, 33, 33),
+    ("generated", "Q4", 2, "last"): (114188.18487743592, 204, 34, 4, 33, 33),
+    ("generated", "Q5", 1, "first"): (38.835242, 56, 21, 4, 14, 14),
+    ("generated", "Q5", 1, "last"): (38.835242, 56, 21, 4, 14, 14),
+    ("generated", "Q5", 2, "first"): (140.62639178000003, 375, 61, 8, 33, 33),
+    ("generated", "Q5", 2, "last"): (140.62639178000003, 375, 61, 8, 33, 33),
+    ("generated", "Q6", 1, "first"): (10.401012, 56, 22, 4, 14, 14),
+    ("generated", "Q6", 1, "last"): (10.401012, 56, 22, 4, 14, 14),
+    ("generated", "Q6", 2, "first"): (18.40309178, 375, 64, 8, 33, 33),
+    ("generated", "Q6", 2, "last"): (18.40309178, 375, 64, 8, 33, 33),
+    ("generated", "Q7", 1, "first"): (39.536365999999994, 228, 71, 10, 42, 42),
+    ("generated", "Q7", 1, "last"): (39.536365999999994, 228, 57, 7, 42, 42),
+    ("generated", "Q7", 2, "first"): (140.64242651, 3198, 324, 32, 175, 175),
+    ("generated", "Q7", 2, "last"): (140.64242651, 3198, 266, 22, 175, 175),
+    ("generated", "Q8", 1, "first"): (11.102136, 228, 72, 9, 42, 42),
+    ("generated", "Q8", 1, "last"): (11.102136, 228, 58, 6, 42, 42),
+    ("generated", "Q8", 2, "first"): (18.419126510000005, 3198, 327, 32, 175, 175),
+    ("generated", "Q8", 2, "last"): (18.419126510000005, 3198, 269, 22, 175, 175),
+    ("hand", "Q1", 1, "first"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("hand", "Q1", 1, "last"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("hand", "Q1", 2, "first"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("hand", "Q1", 2, "last"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("hand", "Q2", 1, "first"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("hand", "Q2", 1, "last"): (860.9780000520977, 14, 4, 1, 6, 6),
+    ("hand", "Q2", 2, "first"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("hand", "Q2", 2, "last"): (102701.18487743592, 33, 8, 1, 10, 10),
+    ("hand", "Q3", 1, "first"): (4017.9780000520977, 48, 16, 4, 14, 14),
+    ("hand", "Q3", 1, "last"): (4017.9780000520977, 48, 13, 2, 14, 14),
+    ("hand", "Q3", 2, "first"): (114188.18487743592, 204, 42, 8, 33, 33),
+    ("hand", "Q3", 2, "last"): (114188.18487743592, 204, 34, 4, 33, 33),
+    ("hand", "Q4", 1, "first"): (4017.9780000520977, 48, 16, 4, 14, 14),
+    ("hand", "Q4", 1, "last"): (4017.9780000520977, 48, 13, 2, 14, 14),
+    ("hand", "Q4", 2, "first"): (114188.18487743592, 204, 42, 8, 33, 33),
+    ("hand", "Q4", 2, "last"): (114188.18487743592, 204, 34, 4, 33, 33),
+    ("hand", "Q5", 1, "first"): (38.84225324, 56, 21, 4, 14, 14),
+    ("hand", "Q5", 1, "last"): (38.84225324, 56, 21, 4, 14, 14),
+    ("hand", "Q5", 2, "first"): (140.62649867820002, 375, 61, 8, 33, 33),
+    ("hand", "Q5", 2, "last"): (140.62649867820002, 375, 61, 8, 33, 33),
+    ("hand", "Q6", 1, "first"): (10.40802324, 56, 22, 4, 14, 14),
+    ("hand", "Q6", 1, "last"): (10.40802324, 56, 22, 4, 14, 14),
+    ("hand", "Q6", 2, "first"): (18.4031986782, 375, 64, 8, 33, 33),
+    ("hand", "Q6", 2, "last"): (18.4031986782, 375, 64, 8, 33, 33),
+    ("hand", "Q7", 1, "first"): (39.54337723999999, 228, 71, 10, 42, 42),
+    ("hand", "Q7", 1, "last"): (39.54337723999999, 228, 57, 7, 42, 42),
+    ("hand", "Q7", 2, "first"): (140.6425334082, 3198, 324, 32, 175, 175),
+    ("hand", "Q7", 2, "last"): (140.6425334082, 3198, 266, 22, 175, 175),
+    ("hand", "Q8", 1, "first"): (11.10914724, 228, 72, 9, 42, 42),
+    ("hand", "Q8", 1, "last"): (11.10914724, 228, 58, 6, 42, 42),
+    ("hand", "Q8", 2, "first"): (18.419233408200004, 3198, 327, 32, 175, 175),
+    ("hand", "Q8", 2, "last"): (18.419233408200004, 3198, 269, 22, 175, 175),
+}
+
+ENFORCER_EXPLAIN = {
+    ("generated", "Q1", 1, "first"): """\
+-> Merge_sort  (rows≈3361, cost=860.98)  [join on: b1 = b2; order: a1]
+  -> Hash_join  (rows≈3361, cost=73.47)  [join on: b1 = b2]
+    -> File_scan  (rows≈2821, cost=34.44)
+      -> C2 (stored file)
+    -> File_scan  (rows≈336, cost=4.10)
+      -> C1 (stored file)
+
+total estimated cost: 860.98""",
+    ("generated", "Q3", 1, "last"): """\
+-> Merge_sort  (rows≈3361, cost=4017.98)  [join on: b1 = b2; order: t2_y]
+  -> Hash_join  (rows≈3361, cost=3230.47)  [join on: b1 = b2]
+    -> Mat_deref  (rows≈2821, cost=2855.44)  [materialize: r2]
+      -> File_scan  (rows≈2821, cost=34.44)
+        -> C2 (stored file)
+    -> Mat_deref  (rows≈336, cost=340.10)  [materialize: r1]
+      -> File_scan  (rows≈336, cost=4.10)
+        -> C1 (stored file)
+
+total estimated cost: 4017.98""",
+    ("generated", "Q7", 1, "last"): """\
+-> Mat_deref  (rows≈0, cost=39.54)  [materialize: r1; order: t2_y]
+  -> Merge_sort  (rows≈0, cost=39.19)  [filter: a1 = 1 AND a2 = 2; order: t2_y]
+    -> Mat_deref  (rows≈0, cost=39.19)  [materialize: r2]
+      -> Hash_join  (rows≈0, cost=38.84)  [join on: b1 = b2]
+        -> File_scan  (rows≈10, cost=34.44)  [filter: a2 = 2]
+          -> C2 (stored file)
+        -> File_scan  (rows≈10, cost=4.10)  [filter: a1 = 1]
+          -> C1 (stored file)
+
+total estimated cost: 39.54""",
+    ("hand", "Q7", 1, "last"): """\
+-> Mat_deref  (rows≈0, cost=39.54)  [materialize: r1; order: t2_y]
+  -> Merge_sort  (rows≈0, cost=39.19)  [filter: a1 = 1 AND a2 = 2; order: t2_y]
+    -> Mat_deref  (rows≈0, cost=39.19)  [materialize: r2]
+      -> Hash_join  (rows≈0, cost=38.84)  [join on: b1 = b2]
+        -> File_scan  (rows≈10, cost=34.44)  [filter: a2 = 2]
+          -> C2 (stored file)
+        -> File_scan  (rows≈10, cost=4.10)  [filter: a1 = 1]
+          -> C1 (stored file)
+
+total estimated cost: 39.54""",
+}
+
+# Enforcer trace events of two rows: (event, reason) -> count.  The "last"
+# attribute is one only a dereference adds, so the sort enforcer's
+# condition fails below the MAT that produces it.
+ENFORCER_EVENTS = {
+    ("generated", "Q3", 1, "last"): {
+        ("enforcer_rejected", "condition"): 2,
+        ("enforcer_applied", None): 2,
+    },
+    ("hand", "Q7", 1, "last"): {
+        ("enforcer_rejected", "condition"): 8,
+        ("enforcer_applied", None): 7,
+    },
+}
+
+
+def _ordered_search(ruleset_kind, qid, n_joins, position, tracer=None):
+    pair = build_optimizer_pair("oodb")
+    ruleset = (
+        pair.translation.volcano if ruleset_kind == "generated"
+        else pair.hand_coded
+    )
+    catalog, tree = make_query_instance(pair.schema, qid, n_joins, 0)
+    attributes = tree.descriptor["attributes"]
+    order = attributes[0] if position == "first" else attributes[-1]
+    return VolcanoOptimizer(ruleset, catalog, tracer=tracer).optimize(
+        tree, required=(order,)
+    )
+
+
+@pytest.mark.parametrize("row", sorted(ENFORCER_GOLDEN))
+def test_enforcer_path_outcome(row):
+    result = _ordered_search(*row)
+    stats = result.stats
+    assert (
+        result.cost,
+        stats.impl_considered,
+        stats.impl_succeeded,
+        stats.enforcer_applied,
+        stats.optimize_calls,
+        stats.winners_cached,
+    ) == ENFORCER_GOLDEN[row]
+    if row in ENFORCER_EXPLAIN:
+        assert explain(result, verbose=False) == ENFORCER_EXPLAIN[row]
+
+
+@pytest.mark.parametrize("row", sorted(ENFORCER_EVENTS))
+def test_enforcer_path_events(row):
+    tracer = CollectingTracer()
+    _ordered_search(*row, tracer=tracer)
+    seen = Counter(
+        (event.type, event.data.get("reason"))
+        for event in tracer.events
+        if event.type in ("enforcer_rejected", "enforcer_applied")
+    )
+    assert dict(seen) == ENFORCER_EVENTS[row]
