@@ -125,18 +125,17 @@ def translate(
     for t_rule in merged.t_rules:
         with span(tracer, "p2v.translate_rule", rule=t_rule.name, kind="t_rule"):
             volcano.add_trans_rule(_translate_t_rule(t_rule, ruleset, tracer))
-    for i_rule in merged.i_rules:
-        with span(tracer, "p2v.translate_rule", rule=i_rule.name, kind="i_rule"):
-            volcano.add_impl_rule(
-                _translate_i_rule(i_rule, ruleset, analysis, tracer)
-            )
-    for i_rule in merged.enforcer_i_rules:
-        with span(
-            tracer, "p2v.translate_rule", rule=i_rule.name, kind="enforcer"
-        ):
-            volcano.add_enforcer(
-                _translate_enforcer(i_rule, ruleset, analysis, tracer)
-            )
+    for kind, rule_class, i_rules, add in (
+        ("i_rule", ImplRule, merged.i_rules, volcano.add_impl_rule),
+        ("enforcer", Enforcer, merged.enforcer_i_rules, volcano.add_enforcer),
+    ):
+        for i_rule in i_rules:
+            with span(tracer, "p2v.translate_rule", rule=i_rule.name, kind=kind):
+                add(
+                    _translate_i_rule(
+                        i_rule, ruleset, analysis, rule_class, tracer
+                    )
+                )
 
     volcano.validate()
     return TranslationResult(volcano=volcano, analysis=analysis, merged=merged)
@@ -268,41 +267,23 @@ def _translate_i_rule(
     rule: IRule,
     ruleset: PrairieRuleSet,
     analysis: RuleSetAnalysis,
+    rule_class: "type[ImplRule]" = ImplRule,
     tracer=None,
 ) -> ImplRule:
-    """I-rule → impl_rule (Table 4(b))."""
-    algorithm = ruleset.algorithms[rule.algorithm_name]
-    callables = _make_impl_callables(rule, ruleset, analysis, tracer)
-    return ImplRule(
-        name=rule.name,
-        operator=rule.operator_name,
-        algorithm=algorithm,
-        lhs=rule.lhs,
-        rhs=rule.rhs,
-        doc=rule.doc,
-        provenance_id=mint_provenance("prairie", "i_rule", rule.name),
-        **callables,
-    )
+    """I-rule → impl_rule (Table 4(b)).
 
-
-def _translate_enforcer(
-    rule: IRule,
-    ruleset: PrairieRuleSet,
-    analysis: RuleSetAnalysis,
-    tracer=None,
-) -> Enforcer:
-    """Enforcer-algorithm I-rule → Volcano enforcer.
-
-    Same machinery as an impl_rule; the engine applies it at group level
-    whenever a non-trivial property vector is requested.
+    An enforcer-algorithm I-rule goes through the same machinery and
+    becomes an :class:`Enforcer` (``rule_class``), which the engine
+    applies at group level whenever a non-trivial property vector is
+    requested.
     """
-    if rule.arity != 1:
+    if rule_class is Enforcer and rule.arity != 1:
         raise TranslationError(
             f"enforcer I-rule {rule.name!r} must take exactly one stream"
         )
     algorithm = ruleset.algorithms[rule.algorithm_name]
     callables = _make_impl_callables(rule, ruleset, analysis, tracer)
-    return Enforcer(
+    return rule_class(
         name=rule.name,
         operator=rule.operator_name,
         algorithm=algorithm,

@@ -18,7 +18,8 @@ The Volcano model is deliberately lower-level than Prairie's:
   and ``cost`` (the algorithm's cost once input costs are known).
 * **enforcers** are algorithms that exist solely to establish physical
   properties (the paper's example: a sort enforcer).  In Prairie they are
-  ordinary I-rules of an enforcer-operator; P2V generates these objects.
+  ordinary I-rules of an enforcer-operator, and here too an
+  :class:`Enforcer` is an :class:`ImplRule`; P2V generates these objects.
 
 All callables receive an :class:`~repro.prairie.actions.ActionEnv` whose
 descriptor bindings the engine prepares (see
@@ -168,12 +169,23 @@ class ImplRule:
     doc: str = ""
     provenance_id: "str | None" = None
 
+    # What the engine reports about an application (repro.volcano.search):
+    # the provenance kind minted for a hand-coded rule, the trace event
+    # names of an attempt, a rejection and a costed plan, and whether a
+    # rule whose condition holds counts in ``SearchStats.impl_applicable``
+    # (the paper's Table 5 counts impl rules only).
+    PROVENANCE_KIND = "impl_rule"
+    ATTEMPT_EVENT = "impl_attempt"
+    REJECTED_EVENT = "impl_rejected"
+    COSTED_EVENT = "impl_costed"
+    COUNTS_APPLICABLE = True
+
     def __post_init__(self) -> None:
         if self.provenance_id is None:
             from repro.prairie.compile import mint_provenance
 
             self.provenance_id = mint_provenance(
-                "volcano", "impl_rule", self.name
+                "volcano", self.PROVENANCE_KIND, self.name
             )
         if self.lhs.op_name != self.operator:
             raise RuleSetError(
@@ -222,63 +234,22 @@ class ImplRule:
         return f"impl_rule {self.name}: {self.operator} -> {self.algorithm.name}"
 
 
-@dataclass
-class Enforcer:
+class Enforcer(ImplRule):
     """A Volcano enforcer: an algorithm establishing physical properties.
 
-    Structurally a single-input impl_rule; ``operator`` records the
-    Prairie enforcer-operator it came from (or a synthetic name when
-    hand-coded).  The engine applies enforcers at *group* level whenever
-    a non-trivial property vector is requested: the enforcer's plan is
+    An impl_rule of a single-input enforcer-operator (the Prairie
+    operator it came from, or a synthetic name when hand-coded), as in
+    Prairie's uniform model.  The engine applies it through the same
+    method as any impl_rule, but to a *group*: whenever a non-trivial
+    property vector is requested, the enforcer's plan is
     ``algorithm(plan for the same group under a relaxed vector)``.
     """
 
-    name: str
-    operator: str
-    algorithm: Algorithm
-    lhs: PatternNode
-    rhs: PatternNode
-    cond_code: CondCode
-    do_any_good: DoAnyGood
-    get_input_pv: GetInputPV
-    derive_phy_prop: DerivePhyProp
-    cost: CostFn
-    doc: str = ""
-    provenance_id: "str | None" = None
-
-    @property
-    def op_desc_name(self) -> str:
-        return self.lhs.descriptor
-
-    @property
-    def alg_desc_name(self) -> str:
-        return self.rhs.descriptor
-
-    def lhs_input_desc(self, index: int) -> "str | None":
-        return self._lhs_input_descs[index]
-
-    def rhs_input_desc(self, index: int) -> "str | None":
-        return self._rhs_input_descs[index]
-
-    def __post_init__(self) -> None:
-        if self.provenance_id is None:
-            from repro.prairie.compile import mint_provenance
-
-            self.provenance_id = mint_provenance(
-                "volcano", "enforcer", self.name
-            )
-        self._lhs_desc_names = _side_descriptor_names(self.lhs)
-        self._rhs_desc_names = _side_descriptor_names(self.rhs)
-        self._lhs_input_descs = _input_descriptor_names(self.lhs)
-        self._rhs_input_descs = _input_descriptor_names(self.rhs)
-
-    @property
-    def lhs_descriptor_names(self) -> frozenset[str]:
-        return self._lhs_desc_names
-
-    @property
-    def rhs_descriptor_names(self) -> frozenset[str]:
-        return self._rhs_desc_names
+    PROVENANCE_KIND = "enforcer"
+    ATTEMPT_EVENT = "enforcer_attempt"
+    REJECTED_EVENT = "enforcer_rejected"
+    COSTED_EVENT = "enforcer_applied"
+    COUNTS_APPLICABLE = False
 
     def __str__(self) -> str:
         return f"enforcer {self.name}: {self.algorithm.name}"
@@ -413,9 +384,11 @@ class VolcanoRuleSet:
                 issues.append(
                     f"impl_rule {rule.name!r}: unknown operator {rule.operator!r}"
                 )
+        # An enforcer's operator is P2V-deleted, but its algorithm is real.
+        for rule in (*self.impl_rules, *self.enforcers):
             if rule.algorithm.name not in self.algorithms:
                 issues.append(
-                    f"impl_rule {rule.name!r}: unknown algorithm "
+                    f"{rule.PROVENANCE_KIND} {rule.name!r}: unknown algorithm "
                     f"{rule.algorithm.name!r}"
                 )
         for rule in self.trans_rules:

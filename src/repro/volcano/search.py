@@ -41,7 +41,7 @@ from repro.catalog.schema import Catalog
 from repro.errors import NoPlanFoundError, SearchError
 from repro.prairie.actions import ActionEnv
 from repro.volcano.memo import Group, Memo, MExpr
-from repro.volcano.model import Enforcer, ImplRule, VolcanoRuleSet
+from repro.volcano.model import ImplRule, VolcanoRuleSet
 from repro.volcano.plancache import MemoSummary, PlanCache, copy_plan
 from repro.volcano.properties import (
     PropertyVector,
@@ -95,27 +95,16 @@ class SearchOptions:
       classes, stop applying transformation rules (existing alternatives
       are still costed; no new logical alternatives are derived).
     * ``max_mexprs`` — same budget, counted in memo expressions.
-    * ``monotone_costs`` — declares that every algorithm's cost is at
-      least the sum of its optimized inputs' costs.  When true, the
-      engine additionally prunes alternatives whose accumulated input
-      costs already exceed the running best (the classic dynamic-
-      programming bound).  It is an *assumption about the cost model*,
-      not a safe default: the object algebra's pointer join deliberately
-      ignores its inner input's cost (it never scans the extent), and
-      selective streams can have fractional cardinalities that make a
-      nested-loops cost smaller than its inputs' sum — under either, the
-      bound could prune the true optimum.  Off by default; the engine is
-      exact without it.
 
-    Plans remain valid and executable under any heuristic; they just may
-    no longer be the global optimum.  The ablation benchmark
-    ``bench_ablation_heuristics.py`` quantifies the trade.
+    Without them the search is exact.  Plans remain valid and executable
+    under any heuristic; they just may no longer be the global optimum.
+    The ablation benchmark ``bench_ablation_heuristics.py`` quantifies
+    the trade.
     """
 
     disabled_rules: frozenset = frozenset()
     max_groups: "int | None" = None
     max_mexprs: "int | None" = None
-    monotone_costs: bool = False
 
     def allows(self, rule_name: str) -> bool:
         return rule_name not in self.disabled_rules
@@ -473,7 +462,8 @@ class VolcanoOptimizer:
         if request in state.optimizing:
             return None  # break pathological cycles; not cached
         state.optimizing.add(request)
-        state.stats.optimize_calls += 1
+        stats = state.stats
+        stats.optimize_calls += 1
         emit = state.emit
         if emit is not None:
             required_text = _pv_text(required)
@@ -493,27 +483,31 @@ class VolcanoOptimizer:
                     for rule in self.ruleset.impl_rules_for(mexpr.op_name):
                         if not self.options.allows(rule.name):
                             continue
-                        state.stats.impl_matched.add(rule.name)
-                        candidate = self._apply_impl_rule(
-                            state, rule, mexpr, required, best
+                        stats.impl_matched.add(rule.name)
+                        stats.impl_considered += 1
+                        candidate = self._apply_rule(
+                            state, rule, mexpr.descriptor, mexpr.inputs,
+                            gid, required, best,
                         )
-                        if candidate is not None and (
-                            best is None or candidate.cost < best.cost
-                        ):
+                        if candidate is not None:
+                            stats.impl_succeeded += 1
                             best = candidate
             if not is_trivial(required):
+                # An enforcer is an impl rule whose one input is its own
+                # group: it wraps the group's best plan for the relaxed
+                # vector its get_input_pv requests.
                 for enforcer in self.ruleset.enforcers:
                     if not self.options.allows(enforcer.name):
                         continue
-                    candidate = self._apply_enforcer(
-                        state, enforcer, group, required, best
+                    candidate = self._apply_rule(
+                        state, enforcer, group.logical_descriptor, (gid,),
+                        gid, required, best,
                     )
-                    if candidate is not None and (
-                        best is None or candidate.cost < best.cost
-                    ):
+                    if candidate is not None:
+                        stats.enforcer_applied += 1
                         best = candidate
             group.winners[required] = _NO_PLAN if best is None else best
-            state.stats.winners_cached += 1
+            stats.winners_cached += 1
             if emit is not None:
                 if best is None:
                     emit("winner_none", gid=gid, required=required_text)
@@ -551,7 +545,7 @@ class VolcanoOptimizer:
 
     def _impl_env(
         self,
-        rule: "ImplRule | Enforcer",
+        rule: ImplRule,
         op_descriptor: Descriptor,
         input_groups: tuple[int, ...],
         memo: Memo,
@@ -581,7 +575,7 @@ class VolcanoOptimizer:
 
     @staticmethod
     def _own_inputs(
-        rule: "ImplRule | Enforcer",
+        rule: ImplRule,
         env: ActionEnv,
         input_groups: tuple[int, ...],
         memo: Memo,
@@ -599,7 +593,7 @@ class VolcanoOptimizer:
 
     def _record_input_result(
         self,
-        rule: "ImplRule | Enforcer",
+        rule: ImplRule,
         env: ActionEnv,
         index: int,
         winner: Winner,
@@ -623,65 +617,62 @@ class VolcanoOptimizer:
                 ):
                     descriptor[prop] = value
 
-    def _apply_impl_rule(
+    def _apply_rule(
         self,
         state: "_SearchState",
         rule: ImplRule,
-        mexpr: MExpr,
+        descriptor: Descriptor,
+        inputs: tuple[int, ...],
+        gid: int,
         required: PropertyVector,
         best_so_far: "Winner | None",
     ) -> "Winner | None":
-        phys = self.ruleset.physical_properties
-        op_descriptor = mexpr.descriptor.copy()
-        apply_vector(op_descriptor, phys, required)
-        env = self._impl_env(rule, op_descriptor, mexpr.inputs, state.memo)
-        state.stats.impl_considered += 1
+        """Cost ``rule``'s algorithm over ``inputs`` for one request.
+
+        An impl rule passes its m-expr's descriptor and input groups; an
+        enforcer passes its group's logical descriptor and the group
+        itself as the one input.  Returns the plan when it satisfies
+        ``required`` and beats ``best_so_far``, else None.  An enforcer
+        that does not relax the request asks for the (group, vector)
+        request being answered, which ``_optimize_group`` refuses, so it
+        is rejected with ``no_input_plan``.
+        """
+        op_descriptor = descriptor.copy()
+        apply_vector(op_descriptor, self.ruleset.physical_properties, required)
+        memo = state.memo
+        env = self._impl_env(rule, op_descriptor, inputs, memo)
         emit = state.emit
-        gid = mexpr.group_id
         if emit is not None:
-            emit("impl_attempt", rule=rule.name, gid=gid, op=mexpr.op_name)
+            emit(rule.ATTEMPT_EVENT, rule=rule.name, gid=gid, op=rule.operator)
         if not rule.cond_code(env):
             if emit is not None:
                 emit(
-                    "impl_rejected", rule=rule.name, gid=gid, reason="condition"
+                    rule.REJECTED_EVENT, rule=rule.name, gid=gid,
+                    reason="condition",
                 )
             return None
-        self._own_inputs(rule, env, mexpr.inputs, state.memo)
-        state.stats.impl_applicable.add(rule.name)
+        self._own_inputs(rule, env, inputs, memo)
+        if rule.COUNTS_APPLICABLE:
+            state.stats.impl_applicable.add(rule.name)
         if not rule.do_any_good(env):
             if emit is not None:
                 emit(
-                    "impl_rejected", rule=rule.name, gid=gid, reason="no_good"
+                    rule.REJECTED_EVENT, rule=rule.name, gid=gid,
+                    reason="no_good",
                 )
             return None
         child_plans: list[Winner] = []
         input_requests: "list[tuple] | None" = [] if emit is not None else None
-        accumulated = 0.0
-        prune_on_inputs = self.options.monotone_costs and best_so_far is not None
-        for index, child_gid in enumerate(mexpr.inputs):
+        for index, child_gid in enumerate(inputs):
             input_pv = intern_vector(rule.get_input_pv(env, index))
             sub = self._optimize_group(state, child_gid, input_pv)
             if sub is None:
                 if emit is not None:
                     emit(
-                        "impl_rejected",
+                        rule.REJECTED_EVENT,
                         rule=rule.name,
                         gid=gid,
                         reason="no_input_plan",
-                    )
-                return None
-            accumulated += sub.cost
-            if prune_on_inputs and accumulated >= best_so_far.cost:
-                # Classic DP bound — only sound when the cost model is
-                # declared monotone (see SearchOptions.monotone_costs).
-                if emit is not None:
-                    emit(
-                        "prune",
-                        rule=rule.name,
-                        gid=gid,
-                        kind="inputs",
-                        accumulated=accumulated,
-                        bound=best_so_far.cost,
                     )
                 return None
             self._record_input_result(rule, env, index, sub)
@@ -693,9 +684,7 @@ class VolcanoOptimizer:
         if not satisfies(delivered, required):
             if emit is not None:
                 emit(
-                    "impl_rejected",
-                    rule=rule.name,
-                    gid=gid,
+                    rule.REJECTED_EVENT, rule=rule.name, gid=gid,
                     reason="properties",
                 )
             return None
@@ -711,7 +700,6 @@ class VolcanoOptimizer:
                     bound=best_so_far.cost,
                 )
             return None
-        state.stats.impl_succeeded += 1
         plan = Expression(
             rule.algorithm,
             tuple(p.plan for p in child_plans),
@@ -724,110 +712,11 @@ class VolcanoOptimizer:
             winner.algorithm = rule.algorithm.name
             winner.input_requests = tuple(input_requests)
             emit(
-                "impl_costed",
+                rule.COSTED_EVENT,
                 rule=rule.name,
                 provenance=rule.provenance_id,
                 gid=gid,
                 algorithm=rule.algorithm.name,
-                cost=cost,
-            )
-        return winner
-
-    def _apply_enforcer(
-        self,
-        state: "_SearchState",
-        enforcer: Enforcer,
-        group: Group,
-        required: PropertyVector,
-        best_so_far: "Winner | None",
-    ) -> "Winner | None":
-        phys = self.ruleset.physical_properties
-        op_descriptor = group.logical_descriptor.copy()
-        apply_vector(op_descriptor, phys, required)
-        env = self._impl_env(enforcer, op_descriptor, (group.gid,), state.memo)
-        emit = state.emit
-        gid = group.gid
-        if not enforcer.cond_code(env):
-            if emit is not None:
-                emit(
-                    "enforcer_rejected",
-                    rule=enforcer.name,
-                    gid=gid,
-                    reason="condition",
-                )
-            return None
-        self._own_inputs(enforcer, env, (gid,), state.memo)
-        if not enforcer.do_any_good(env):
-            if emit is not None:
-                emit(
-                    "enforcer_rejected",
-                    rule=enforcer.name,
-                    gid=gid,
-                    reason="no_good",
-                )
-            return None
-        input_pv = intern_vector(enforcer.get_input_pv(env, 0))
-        if input_pv == required:
-            return None  # no relaxation: applying would recurse forever
-        sub = self._optimize_group(state, group.gid, input_pv)
-        if sub is None:
-            return None
-        if (
-            self.options.monotone_costs
-            and best_so_far is not None
-            and sub.cost >= best_so_far.cost
-        ):
-            if emit is not None:
-                emit(
-                    "prune",
-                    rule=enforcer.name,
-                    gid=gid,
-                    kind="inputs",
-                    accumulated=sub.cost,
-                    bound=best_so_far.cost,
-                )
-            return None
-        self._record_input_result(enforcer, env, 0, sub)
-        cost = enforcer.cost(env)
-        delivered = enforcer.derive_phy_prop(env)
-        if not satisfies(delivered, required):
-            if emit is not None:
-                emit(
-                    "enforcer_rejected",
-                    rule=enforcer.name,
-                    gid=gid,
-                    reason="properties",
-                )
-            return None
-        if best_so_far is not None and cost >= best_so_far.cost:
-            if emit is not None:
-                emit(
-                    "prune",
-                    rule=enforcer.name,
-                    gid=gid,
-                    kind="cost",
-                    cost=cost,
-                    bound=best_so_far.cost,
-                )
-            return None
-        state.stats.enforcer_applied += 1
-        plan = Expression(
-            enforcer.algorithm,
-            (sub.plan,),
-            env.descriptor(enforcer.alg_desc_name).copy(),
-        )
-        winner = Winner(plan=plan, cost=cost, delivered=delivered)
-        if emit is not None:
-            winner.rule_name = enforcer.name
-            winner.provenance = enforcer.provenance_id
-            winner.algorithm = enforcer.algorithm.name
-            winner.input_requests = ((gid, _pv_text(input_pv)),)
-            emit(
-                "enforcer_applied",
-                rule=enforcer.name,
-                provenance=enforcer.provenance_id,
-                gid=gid,
-                algorithm=enforcer.algorithm.name,
                 cost=cost,
             )
         return winner

@@ -113,28 +113,14 @@ class TestDisabledRules:
         assert is_access_plan(pruned.plan)
 
 
-class TestMonotoneCostsOption:
-    def test_off_by_default(self):
-        assert SearchOptions().monotone_costs is False
-
-    def test_agrees_on_paper_workloads(self, schema, oodb_volcano_generated):
-        """On these cost models the DP bound happens not to change the
-        optimum; the option exists because it is not *guaranteed* to."""
-        catalog, tree = make_query_instance(schema, "Q5", 2, 0)
-        exact = VolcanoOptimizer(oodb_volcano_generated, catalog).optimize(tree)
-        pruned = VolcanoOptimizer(
-            oodb_volcano_generated,
-            catalog,
-            options=SearchOptions(monotone_costs=True),
-        ).optimize(tree)
-        assert pruned.cost == exact.cost
-
+class TestExactSearch:
     def test_pointer_join_survives_exact_search(
         self, schema, oodb_volcano_generated
     ):
-        """The scenario that motivates exact-by-default: the pointer
-        join's cost is below the sum of its inputs' costs (it skips the
-        inner scan), so input-cost pruning could in principle cut it."""
+        """Why the engine prunes only fully costed alternatives: the
+        pointer join's cost is below the sum of its inputs' costs (it
+        skips the inner scan), so a bound on accumulated input costs
+        could cut the optimum."""
         from repro.catalog.predicates import equals_attr
         from repro.catalog.schema import Catalog, StoredFileInfo
         from repro.workloads.trees import TreeBuilder

@@ -145,6 +145,37 @@ class TestRequiredProperties:
                 tree, required=("zz",)
             )
 
+    def test_non_relaxing_enforcer_is_refused(self, rel_catalog, rel_builder):
+        """An enforcer that passes the request down unchanged asks for the
+        request being answered; the engine refuses it as a cycle, so the
+        enforcer is rejected with no_input_plan and nothing recurses."""
+        from repro.obs.tracer import CollectingTracer
+        from repro.optimizers.relational_volcano import build_relational_volcano
+
+        ruleset = build_relational_volcano()
+        (enforcer,) = ruleset.enforcers
+        ruleset.enforcers[0] = dataclasses.replace(
+            enforcer,
+            get_input_pv=lambda env, index: (env.descriptors["D2"]["tuple_order"],),
+        )
+        tracer = CollectingTracer()
+        with pytest.raises(NoPlanFoundError):
+            VolcanoOptimizer(ruleset, rel_catalog, tracer=tracer).optimize(
+                rel_builder.ret("R3"), required=("a3",)
+            )
+        rejected = [
+            event.data["reason"]
+            for event in tracer.events
+            if event.type == "enforcer_rejected"
+        ]
+        assert rejected == ["no_input_plan"]
+        ordered_requests = [
+            event for event in tracer.events
+            if event.type == "optimize_group_begin"
+            and event.data["required"] == ("a3",)
+        ]
+        assert len(ordered_requests) == 1
+
     def test_wrong_vector_length_rejected(
         self, relational_volcano_generated, rel_catalog, rel_builder
     ):

@@ -199,6 +199,29 @@ class TestVolcanoRuleSet:
         with pytest.raises(RuleSetError):
             rs.validate()
 
+    def test_validate_unknown_enforcer_algorithm(self):
+        rs = self.make()
+        rs.add_impl_rule(make_impl())
+        rs.add_enforcer(
+            Enforcer(
+                name="sort",
+                operator="SORT",
+                algorithm=Algorithm.streams("Merge_sort", 1),
+                lhs=node("SORT", var("S1", "D1"), desc="D2"),
+                rhs=node("Merge_sort", var("S1"), desc="D3"),
+                cond_code=_true,
+                do_any_good=_true,
+                get_input_pv=_pv,
+                derive_phy_prop=_derive,
+                cost=_cost,
+            )
+        )
+        with pytest.raises(RuleSetError, match="Merge_sort"):
+            rs.validate()
+        # The enforcer-operator SORT needs no declaration: P2V deletes it.
+        rs.declare_algorithm(Algorithm.streams("Merge_sort", 1))
+        rs.validate()
+
     def test_duplicate_rule_names_rejected(self):
         rs = self.make()
         rs.add_impl_rule(make_impl(name="same"))
@@ -314,6 +337,7 @@ class TestValidateOnce:
         rs = self.make()
         steps = [
             lambda: rs.declare_algorithm(Algorithm.streams("Filter", 1)),
+            lambda: rs.declare_algorithm(Algorithm.streams("Merge_sort", 1)),
             lambda: rs.add_impl_rule(make_impl(name="r2")),
             lambda: rs.add_trans_rule(
                 TransRule(
