@@ -28,7 +28,9 @@ _GETTERS: "dict[tuple, Callable[[dict], tuple]]" = {}
 _GETTERS_LIMIT = 256
 
 
-def _getter(names: "tuple[str, ...]") -> "Callable[[dict], tuple]":
+def values_getter(names: "tuple[str, ...]") -> "Callable[[dict], tuple]":
+    """``getter(values)``: the values of ``names`` in a descriptor's
+    ``_values`` dict, as a tuple (list values are not frozen)."""
     getter = _GETTERS.get(names)
     if getter is None:
         if len(names) == 1:
@@ -138,6 +140,19 @@ class Descriptor:
         object.__setattr__(clone, "_proj_cache", self._proj_cache)
         return clone
 
+    def uncached_copy(self) -> "Descriptor":
+        """A flat copy that starts without a cached projection.
+
+        For code that writes the clone's ``_values`` directly (compiled
+        rule actions, the generated impl-rule functions): such writes
+        have no invalidation hook, so the clone must start uncached.
+        """
+        clone = Descriptor.__new__(Descriptor)
+        object.__setattr__(clone, "_schema", self._schema)
+        object.__setattr__(clone, "_values", dict(self._values))
+        object.__setattr__(clone, "_proj_cache", None)
+        return clone
+
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> tuple:
@@ -200,7 +215,7 @@ class Descriptor:
         # compiled actions overwrite in place), so direct subscripting is
         # safe; the except path covers hand-built mappings in tests.
         try:
-            projection = _getter(names)(values)
+            projection = values_getter(names)(values)
         except KeyError:
             projection = tuple([values.get(name, DONT_CARE) for name in names])
         if list in map(type, projection):

@@ -176,7 +176,7 @@ def _stream_inputs(rule: TRule) -> "dict[str, frozenset[str]]":
     return inputs
 
 
-def _reads_own_inputs(expr: Expr, prop: str, inputs: frozenset) -> bool:
+def _reads_input_values(expr: Expr, prop: str, inputs: frozenset) -> bool:
     """Does ``expr`` read ``prop`` only from ``inputs``, at least once?
 
     A whole-descriptor reference may hand any property to a helper, so
@@ -224,7 +224,7 @@ def _derived_properties(t_rules, i_rules) -> "set[str]":
                     continue
                 written.add(stmt.prop)
                 own = inputs.get(stmt.desc, frozenset())
-                if not _reads_own_inputs(stmt.expr, stmt.prop, own):
+                if not _reads_input_values(stmt.expr, stmt.prop, own):
                     rejected.add(stmt.prop)
     for rule in i_rules:
         reads = _cost_reads(rule.post_opt)

@@ -96,20 +96,6 @@ _BINOP_SOURCE = {
 }
 
 
-def _raw_copy(source: Descriptor) -> Descriptor:
-    """A value copy for the optimized ``D_new = D_old;`` codegen.
-
-    Unlike :meth:`Descriptor.copy`, the projection cache is dropped:
-    optimized action code writes properties through the raw ``_values``
-    backdoor (no invalidation hook), so the clone must start uncached.
-    """
-    clone = Descriptor.__new__(Descriptor)
-    object.__setattr__(clone, "_schema", source._schema)
-    object.__setattr__(clone, "_values", dict(source._values))
-    object.__setattr__(clone, "_proj_cache", None)
-    return clone
-
-
 class _Emitter:
     """Collects generated source plus the globals it references.
 
@@ -189,7 +175,7 @@ class _Emitter:
                 # value is wasted work: bind a raw value copy instead,
                 # and repoint the hoisted local at the new dict.
                 if "_rawcopy" not in self.globals:
-                    self.globals["_rawcopy"] = _raw_copy
+                    self.globals["_rawcopy"] = Descriptor.uncached_copy
                 lines = [
                     *self._pending,
                     f"_d[{stmt.desc!r}] = _new = _rawcopy({expr_src})",

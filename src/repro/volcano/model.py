@@ -43,7 +43,7 @@ from repro.algebra.properties import DescriptorSchema
 from repro.errors import RuleSetError
 from repro.prairie.actions import ActionEnv
 from repro.prairie.helpers import HelperRegistry
-from repro.volcano.patterns import compile_trans_rule
+from repro.volcano.patterns import compile_impl_rule, compile_trans_rule
 from repro.volcano.properties import PropertyVector
 
 CondCode = Callable[[ActionEnv], bool]
@@ -153,7 +153,9 @@ class ImplRule:
     The LHS is a single operator application over variables; the RHS the
     corresponding algorithm application.  RHS variables may carry fresh
     descriptor names whose physical properties (filled by
-    ``do_any_good``) define the input property vectors.
+    ``do_any_good``) define the input property vectors.  The engine costs
+    the rule through ``apply``, the function generated from the two
+    patterns when a rule set holding the rule is first validated.
     """
 
     name: str
@@ -199,8 +201,26 @@ class ImplRule:
             )
         self._lhs_desc_names = _side_descriptor_names(self.lhs)
         self._rhs_desc_names = _side_descriptor_names(self.rhs)
+        # Left-side descriptors are bound read-only, right-side ones fresh:
+        # one name cannot be both (Prairie's I-rules forbid it too).
+        overlap = self._lhs_desc_names & self._rhs_desc_names
+        if overlap:
+            raise RuleSetError(
+                f"impl_rule {self.name!r}: descriptor name(s) "
+                f"{sorted(overlap)} appear on both sides"
+            )
         self._lhs_input_descs = _input_descriptor_names(self.lhs)
         self._rhs_input_descs = _input_descriptor_names(self.rhs)
+        # The generated costing function (repro.volcano.patterns), built
+        # once by VolcanoRuleSet.validate() and kept for the rule's life.
+        self.apply = None
+
+    def __getstate__(self) -> dict:
+        """Rules pickle without their generated function, which is not
+        importable; the next ``validate()`` generates it again."""
+        state = self.__dict__.copy()
+        state["apply"] = None
+        return state
 
     # -- binding metadata the engine needs ---------------------------------
 
@@ -239,8 +259,8 @@ class Enforcer(ImplRule):
 
     An impl_rule of a single-input enforcer-operator (the Prairie
     operator it came from, or a synthetic name when hand-coded), as in
-    Prairie's uniform model.  The engine applies it through the same
-    method as any impl_rule, but to a *group*: whenever a non-trivial
+    Prairie's uniform model.  The engine costs it through a generated
+    ``apply`` like any impl_rule's, but on a *group*: whenever a non-trivial
     property vector is requested, the enforcer's plan is
     ``algorithm(plan for the same group under a relaxed vector)``.
     """
@@ -372,11 +392,18 @@ class VolcanoRuleSet:
     def validate(self) -> None:
         """Whole-rule-set sanity checks (raises :class:`RuleSetError`).
 
-        A valid rule set also gets each trans_rule's firing function
-        generated (once per rule).  Success is remembered until the rule
-        set next changes, so validating an unchanged set is free.
+        A valid rule set also gets each trans_rule's firing function and
+        each impl_rule's and enforcer's costing function generated (once
+        per rule).  Success is remembered until the rule set next changes,
+        so validating an unchanged set costs one pass over its enforcers.
         """
         if self._validated:
+            # Engines read ``enforcers`` as it is, so an enforcer swapped
+            # into the list in place (not through add_enforcer) is costed
+            # too: it gets its function here.
+            for rule in self.enforcers:
+                if rule.apply is None:
+                    rule.apply = compile_impl_rule(rule)
             return
         issues: list[str] = []
         for rule in self.impl_rules:
@@ -425,6 +452,9 @@ class VolcanoRuleSet:
         for rule in self.trans_rules:
             if rule.fire is None:
                 rule.fire = compile_trans_rule(rule)
+        for rule in (*self.impl_rules, *self.enforcers):
+            if rule.apply is None:
+                rule.apply = compile_impl_rule(rule)
         self._validated = True
 
     def __repr__(self) -> str:
