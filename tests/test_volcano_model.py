@@ -117,6 +117,21 @@ class TestImplRule:
                 cost=_cost,
             )
 
+    def test_descriptor_name_on_both_sides_rejected(self):
+        with pytest.raises(RuleSetError, match="both sides"):
+            ImplRule(
+                name="bad",
+                operator="JOIN",
+                algorithm=Algorithm.streams("Hash_join", 2),
+                lhs=node("JOIN", var("S1", "D1"), var("S2"), desc="D3"),
+                rhs=node("Hash_join", var("S1", "D1"), var("S2"), desc="D5"),
+                cond_code=_true,
+                do_any_good=_true,
+                get_input_pv=_pv,
+                derive_phy_prop=_derive,
+                cost=_cost,
+            )
+
 
 class TestEnforcerModel:
     def test_metadata(self):
