@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Mapping
 from repro.algebra.properties import DescriptorSchema, DONT_CARE
 from repro.errors import DescriptorError
 
-_RESERVED = frozenset({"_schema", "_values", "_proj_cache"})
+_RESERVED = frozenset({"_schema", "_values"})
 
 # Value getters per projected names tuple: ``getter(values)`` is the
 # projection's values as a tuple, gathered in C.  Engines project a few
@@ -53,9 +53,13 @@ class Descriptor:
     writes them (``d.cost = 4.0``) and validates against the schema.
     Mapping-style access is also provided because generated code and the
     DSL interpreter address properties by name strings.
+
+    A descriptor is its schema and its values, nothing derived: compiled
+    rule actions and the generated engine code write ``_values``
+    directly, so no other state could be kept in step with them.
     """
 
-    __slots__ = ("_schema", "_values", "_proj_cache")
+    __slots__ = ("_schema", "_values")
 
     def __init__(
         self,
@@ -64,7 +68,6 @@ class Descriptor:
     ) -> None:
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "_values", schema.defaults())
-        object.__setattr__(self, "_proj_cache", None)
         if values:
             for name, value in values.items():
                 self[name] = value
@@ -86,8 +89,6 @@ class Descriptor:
             raise DescriptorError(f"unknown property {name!r}")
         self._schema.validate_value(name, value)
         self._values[name] = value
-        if self._proj_cache is not None:
-            object.__setattr__(self, "_proj_cache", None)
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
@@ -128,35 +129,16 @@ class Descriptor:
     # -- copy semantics ----------------------------------------------------
 
     def copy(self) -> "Descriptor":
-        """A flat copy sharing the schema (``D_new = D_old;`` in rules).
-
-        The cached projection carries over (it is an immutable tuple, so
-        the clone shares it directly): the clone's values are identical
-        until its first write, which invalidates its (private) cache.
-        """
+        """A flat copy sharing the schema (``D_new = D_old;`` in rules)."""
         clone = Descriptor.__new__(Descriptor)
         object.__setattr__(clone, "_schema", self._schema)
         object.__setattr__(clone, "_values", dict(self._values))
-        object.__setattr__(clone, "_proj_cache", self._proj_cache)
-        return clone
-
-    def uncached_copy(self) -> "Descriptor":
-        """A flat copy that starts without a cached projection.
-
-        For code that writes the clone's ``_values`` directly (compiled
-        rule actions, the generated impl-rule functions): such writes
-        have no invalidation hook, so the clone must start uncached.
-        """
-        clone = Descriptor.__new__(Descriptor)
-        object.__setattr__(clone, "_schema", self._schema)
-        object.__setattr__(clone, "_values", dict(self._values))
-        object.__setattr__(clone, "_proj_cache", None)
         return clone
 
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        """Pickle as (schema, values); the projection cache never travels.
+        """Pickle as (schema, values).
 
         Required because the default slot-state protocol restores
         attributes through ``setattr``, which this class routes into
@@ -170,7 +152,6 @@ class Descriptor:
         schema, values = state
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_proj_cache", None)
 
     def assign_from(self, other: "Descriptor") -> None:
         """Overwrite all of this descriptor's values with ``other``'s.
@@ -185,8 +166,6 @@ class Descriptor:
             raise DescriptorError("cannot assign descriptors across schemas")
         self._values.clear()
         self._values.update(other._values)
-        if self._proj_cache is not None:
-            object.__setattr__(self, "_proj_cache", None)
 
     # -- projections used by P2V / the Volcano engine ----------------------
 
@@ -196,23 +175,11 @@ class Descriptor:
         Used by the memo table to extract the operator-argument part of a
         descriptor, and by physical-property vectors.  List values are
         frozen to tuples so the projection is hashable.
-
-        The last projection is cached (a single ``(names, projection)``
-        slot) until the next write (``__setitem__`` / ``assign_from``);
-        the engine projects the same schema-stable names tuple against
-        unchanged descriptors constantly, and a single slot keeps the
-        bookkeeping overhead negligible for the many descriptors that are
-        projected exactly once.  The cache assumes values are never
-        mutated in place — all rule actions go through the write paths
-        above.
         """
-        cached = self._proj_cache
-        if cached is not None and (cached[0] is names or cached[0] == names):
-            return cached[1]
         values = self._values
         # Every write path preserves the schema's full key set (defaults()
-        # seeds it, __setitem__ validates membership, assign_from and the
-        # compiled actions overwrite in place), so direct subscripting is
+        # seeds it, __setitem__ validates membership, copy() and
+        # assign_from keep it whole), so direct subscripting is
         # safe; the except path covers hand-built mappings in tests.
         try:
             projection = values_getter(names)(values)
@@ -222,7 +189,6 @@ class Descriptor:
             projection = tuple(
                 [tuple(value) if type(value) is list else value for value in projection]
             )
-        object.__setattr__(self, "_proj_cache", (names, projection))
         return projection
 
     def as_dict(self) -> dict[str, Any]:

@@ -7,11 +7,16 @@ per-statement interpretation overhead at optimization time.  This module
 translates action ASTs into Python source and ``exec``-compiles them
 once, at translation time:
 
-* a :class:`~repro.prairie.actions.TestExpr` becomes
-  ``lambda env: <expression>``;
+* a :class:`~repro.prairie.actions.TestExpr` becomes a function
+  returning ``bool(<expression>)``;
 * an :class:`~repro.prairie.actions.ActionBlock` becomes a function
   executing its assignments against the environment's descriptor values
   directly.
+
+Both have one code shape: each descriptor's ``_values`` dict is hoisted
+into a local at its first use, property reads and writes go through
+that local, and a whole-descriptor assignment binds a ``copy()`` of the
+source.
 
 The compiled code assumes what rule validation already guarantees
 statically — no assignments to left-hand-side descriptors, only
@@ -99,17 +104,20 @@ _BINOP_SOURCE = {
 class _Emitter:
     """Collects generated source plus the globals it references.
 
-    With ``optimize=True`` the emitter hoists each descriptor's ``_values``
-    dict into a function-local variable at first use (rule actions touch
-    the same few descriptors many times), and compiles whole-descriptor
-    assignment to a raw value copy instead of default-construction plus
-    overwrite.  The generated behaviour is identical to the plain shape.
+    The emitter hoists each descriptor's ``_values`` dict into a
+    function-local variable at first use (rule actions touch the same
+    few descriptors many times): the hoisting lines an expression or
+    statement needs collect in ``_pending``, to be emitted before it.
+    Whole-descriptor assignment binds a copy of the source instead of
+    default-constructing the target and overwriting every value.
     """
 
-    def __init__(self, helpers: HelperRegistry, optimize: bool = False) -> None:
+    def __init__(self, helpers: HelperRegistry) -> None:
         self.helpers = helpers
-        self.globals: dict[str, Any] = {"DONT_CARE": DONT_CARE}
-        self.optimize = optimize
+        self.globals: dict[str, Any] = {
+            "DONT_CARE": DONT_CARE,
+            "_copy": Descriptor.copy,
+        }
         self._locals: dict[str, str] = {}
         self._pending: "list[str]" = []
 
@@ -136,9 +144,7 @@ class _Emitter:
         if isinstance(node, DescRef):
             return f"_d[{node.desc!r}]"
         if isinstance(node, PropRef):
-            if self.optimize:
-                return f"{self._values_local(node.desc)}[{node.prop!r}]"
-            return f"_d[{node.desc!r}]._values[{node.prop!r}]"
+            return f"{self._values_local(node.desc)}[{node.prop!r}]"
         if isinstance(node, Call):
             fn_name = f"_h_{node.func}"
             if fn_name not in self.globals:
@@ -164,38 +170,26 @@ class _Emitter:
         self._pending = []
         if isinstance(stmt, AssignProp):
             expr_src = self.expr(stmt.expr)
-            if self.optimize:
-                target = self._values_local(stmt.desc)
-                return [*self._pending, f"{target}[{stmt.prop!r}] = {expr_src}"]
-            return [f"_d[{stmt.desc!r}]._values[{stmt.prop!r}] = {expr_src}"]
+            target = self._values_local(stmt.desc)
+            return [*self._pending, f"{target}[{stmt.prop!r}] = {expr_src}"]
         if isinstance(stmt, AssignDesc):
+            # Bind a copy of the source, and repoint the hoisted local at
+            # the new dict.
             expr_src = self.expr(stmt.expr)
-            if self.optimize:
-                # Default-constructing the target just to overwrite every
-                # value is wasted work: bind a raw value copy instead,
-                # and repoint the hoisted local at the new dict.
-                if "_rawcopy" not in self.globals:
-                    self.globals["_rawcopy"] = Descriptor.uncached_copy
-                lines = [
-                    *self._pending,
-                    f"_d[{stmt.desc!r}] = _new = _rawcopy({expr_src})",
-                ]
-                var = self._locals.get(stmt.desc)
-                if var is None:
-                    var = f"_v_{stmt.desc}"
-                    self._locals[stmt.desc] = var
-                lines.append(f"{var} = _new._values")
-                return lines
-            # All descriptors share one schema, so every _values dict has
-            # the same key set: a plain update is a complete overwrite.
+            var = self._locals.setdefault(stmt.desc, f"_v_{stmt.desc}")
             return [
-                f"_d[{stmt.desc!r}]._values.update(({expr_src})._values)"
+                *self._pending,
+                f"_d[{stmt.desc!r}] = _new = _copy({expr_src})",
+                f"{var} = _new._values",
             ]
         raise TranslationError(f"cannot compile statement {stmt!r}")
 
 
-def _compile(source: str, emitter: _Emitter, name: str) -> Callable:
-    code = compile(source, filename=f"<prairie:{name}>", mode="exec")
+def _compile(body: "list[str]", emitter: _Emitter, name: str) -> Callable:
+    """Compile ``def name(env)`` with ``body`` after its two prologue lines."""
+    lines = [f"def {name}(env):", "    _d = env.descriptors", "    _ctx = env.context"]
+    lines.extend(f"    {line}" for line in body)
+    code = compile("\n".join(lines), filename=f"<prairie:{name}>", mode="exec")
     namespace: dict[str, Any] = dict(emitter.globals)
     exec(code, namespace)  # noqa: S102 - generating our own validated code
     return namespace[name]
@@ -205,37 +199,34 @@ def compile_block(
     block: ActionBlock,
     helpers: HelperRegistry,
     name: str = "block",
-    optimize: bool = False,
     tracer=None,
 ) -> Callable[[ActionEnv], None]:
     """Compile an action block to ``fn(env) -> None``.
 
     Falls back to the interpreter when the block contains opaque Python
-    actions (their behaviour cannot be code-generated).  ``optimize``
-    selects the hoisted-locals code shape (see :class:`_Emitter`).
-    ``tracer`` (optional) brackets the codegen+exec in a
-    ``prairie.compile_block`` span — compilation happens once at
-    translation time, so the span shows up in translation traces, never
-    in the search hot path.
+    actions (their behaviour cannot be code-generated); the code shape
+    is described at :class:`_Emitter`.  ``tracer`` (optional) brackets
+    the codegen+exec in a ``prairie.compile_block`` span — compilation
+    happens once at translation time, so the span shows up in
+    translation traces, never in the search hot path.
     """
     with span(tracer, "prairie.compile_block", block=name):
         if any(isinstance(stmt, PyAction) for stmt in block):
             return block.execute
         if not block.statements:
             return _noop
-        emitter = _Emitter(helpers, optimize=optimize)
+        emitter = _Emitter(helpers)
         body: "list[str]" = []
         for stmt in block.statements:
             body.extend(emitter.statement(stmt))  # type: ignore[arg-type]
-        lines = [f"def {name}(env):", "    _d = env.descriptors", "    _ctx = env.context"]
-        lines.extend(f"    {line}" for line in body)
-        return _compile("\n".join(lines), emitter, name)
+        return _compile(body, emitter, name)
 
 
 def compile_test(
     test: Test, helpers: HelperRegistry, name: str = "test", tracer=None
 ) -> Callable[[ActionEnv], bool]:
-    """Compile a rule test to ``fn(env) -> bool``."""
+    """Compile a rule test to ``fn(env) -> bool`` (same code shape as
+    :func:`compile_block`: hoisting lines, then the return)."""
     with span(tracer, "prairie.compile_test", test=name):
         if isinstance(test, PyTest):
             return test.evaluate
@@ -244,13 +235,9 @@ def compile_test(
             return _always_true
         emitter = _Emitter(helpers)
         expression = emitter.expr(test.expr)
-        source = (
-            f"def {name}(env):\n"
-            f"    _d = env.descriptors\n"
-            f"    _ctx = env.context\n"
-            f"    return bool({expression})"
+        return _compile(
+            [*emitter._pending, f"return bool({expression})"], emitter, name
         )
-        return _compile(source, emitter, name)
 
 
 def _noop(env: ActionEnv) -> None:

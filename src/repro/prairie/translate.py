@@ -166,10 +166,8 @@ def _translate_t_rule(
     helpers = ruleset.helpers
     run_pre = compile_block(rule.pre_test, helpers, name="pre_test", tracer=tracer)
     run_test = compile_test(rule.test, helpers, name="test", tracer=tracer)
-    # appl_code runs once per rule firing — the hottest generated code —
-    # so it gets the hoisted-locals code shape.
     appl_code = compile_block(
-        rule.post_test, helpers, name="appl_code", optimize=True, tracer=tracer
+        rule.post_test, helpers, name="appl_code", tracer=tracer
     )
 
     if not rule.pre_test.statements:

@@ -42,7 +42,6 @@ _EXPORTS = {
     "PropertyVector": "repro.volcano.properties",
     "dont_care_vector": "repro.volcano.properties",
     "satisfies": "repro.volcano.properties",
-    "vector_of": "repro.volcano.properties",
     "Group": "repro.volcano.memo",
     "Memo": "repro.volcano.memo",
     "MExpr": "repro.volcano.memo",

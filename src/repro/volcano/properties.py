@@ -13,9 +13,6 @@ group: one winner per (group, required-vector) pair.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
-from repro.algebra.descriptors import Descriptor
 from repro.algebra.properties import DONT_CARE
 
 PropertyVector = tuple  # alias for readability in signatures
@@ -49,25 +46,6 @@ def dont_care_vector(names: "tuple[str, ...]") -> PropertyVector:
     if cached is None:
         cached = _DONT_CARE_VECTORS[n] = intern_vector((DONT_CARE,) * n)
     return cached
-
-
-def vector_of(descriptor: Descriptor, names: "tuple[str, ...]") -> PropertyVector:
-    """Project a descriptor onto the physical-property vector space."""
-    return descriptor.project(names)
-
-
-def apply_vector(
-    descriptor: Descriptor, names: "tuple[str, ...]", vector: PropertyVector
-) -> None:
-    """Overwrite the descriptor's physical properties from a vector.
-
-    The engine uses this when serving a request: the operator descriptor
-    handed to an I-rule carries the *requested* physical properties
-    (e.g. the JOIN node's ``tuple_order`` is the order the parent asked
-    for), regardless of whatever stale values the memo expression holds.
-    """
-    for name, value in zip(names, vector):
-        descriptor[name] = value
 
 
 def satisfies(delivered: PropertyVector, required: PropertyVector) -> bool:

@@ -608,7 +608,7 @@ class VolcanoOptimizer:
         validate_value = self.ruleset.schema.validate_value
         for name, value in zip(phys, required):
             validate_value(name, value)
-        copy = descriptor.uncached_copy()
+        copy = descriptor.copy()
         copy._values.update(zip(phys, required))
         return copy
 

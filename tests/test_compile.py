@@ -145,6 +145,16 @@ class TestCompiledBlocks:
         fn(make_env(schema))
         assert marker == [1]
 
+    def test_compiled_write_is_seen_by_project(self, schema):
+        env = make_env(schema)
+        d2 = env.descriptors["D2"]
+        assert d2.project(("tuple_order",)) == (DONT_CARE,)
+        compile_block(
+            block(assign("D2", "tuple_order", lit("a1"))), default_helpers()
+        )(env)
+        assert d2["tuple_order"] == "a1"
+        assert d2.project(("tuple_order",)) == ("a1",)
+
     def test_predicate_literal_bound_as_global(self, schema):
         from repro.catalog.predicates import equals_const
 
@@ -200,6 +210,16 @@ class TestCompiledTests:
             both(lit(True), eq(prop("D1", "tuple_order"), lit("a"))),
             either(lit(False), lit(False)),
             call("contains", prop("D1", "attributes"), lit("b")),
+            # A read behind a short circuit: its descriptor is hoisted
+            # ahead of the expression but never decides the result.
+            both(lit(False), eq(prop("D2", "cost"), lit(1.0))),
+            either(lit(True), eq(prop("D2", "cost"), lit(1.0))),
+            # D2 read after D1, each hoisted once.
+            both(
+                eq(prop("D1", "cost"), lit(2.0)),
+                eq(prop("D2", "tuple_order"), lit(DONT_CARE)),
+            ),
+            ne(prop("D1", "num_records"), prop("D2", "num_records")),
         ]
         for expr in cases:
             t = make_test(expr)

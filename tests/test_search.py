@@ -9,7 +9,6 @@ from repro.algebra.properties import DONT_CARE
 from repro.catalog.predicates import equals_attr, equals_const
 from repro.errors import NoPlanFoundError, SearchError
 from repro.volcano.properties import (
-    apply_vector,
     dont_care_vector,
     format_vector,
     is_trivial,
@@ -46,12 +45,6 @@ class TestPropertyVectors:
     def test_is_trivial(self):
         assert is_trivial((DONT_CARE, DONT_CARE))
         assert not is_trivial((DONT_CARE, "x"))
-
-    def test_apply_vector(self, relational_volcano_generated, rel_builder):
-        tree = rel_builder.ret("R1")
-        descriptor = tree.descriptor.copy()
-        apply_vector(descriptor, ("tuple_order",), ("a1",))
-        assert descriptor["tuple_order"] == "a1"
 
     def test_format_vector(self):
         assert format_vector(("o",), (DONT_CARE,)) == "{any}"
